@@ -7,6 +7,7 @@ transparently. Everything here is immutable and safe to share across threads.
 from __future__ import annotations
 
 import json
+import threading
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence, Union
@@ -33,18 +34,21 @@ def rational_from_str(s: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]
+_BERNOULLI_LOCK = threading.Lock()
 
 
 def bernoulli_number(m: int) -> Fraction:
     """B_m with B_1 = -1/2, via the recurrence sum_{i<=m} C(m+1,i) B_i = 0."""
     if m < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    while len(_BERNOULLI) <= m:
-        n = len(_BERNOULLI)
-        acc = Fraction(0)
-        for i in range(n):
-            acc += comb(n + 1, i) * _BERNOULLI[i]
-        _BERNOULLI.append(-acc / (n + 1))
+    if m >= len(_BERNOULLI):
+        with _BERNOULLI_LOCK:
+            while len(_BERNOULLI) <= m:
+                n = len(_BERNOULLI)
+                acc = Fraction(0)
+                for i in range(n):
+                    acc += comb(n + 1, i) * _BERNOULLI[i]
+                _BERNOULLI.append(-acc / (n + 1))
     return _BERNOULLI[m]
 
 

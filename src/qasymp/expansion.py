@@ -232,12 +232,10 @@ def expansion_eval(k: int, n_order: int, s, cfg: EvalConfig):
 # rational reconstruction and Zagier's tables
 # ---------------------------------------------------------------------------
 
-_DENOMINATOR_BOUND = 1 << 64
-
-
 def rational_ratio(k: int, j: int, m: int, cfg: EvalConfig) -> Fraction:
     """beta_k(j + mk)/beta_k(j) reconstructed as an exact rational via
-    continued-fraction convergents (denominator bound 2^64, residual 2^{-prec/2})."""
+    continued-fraction convergents (denominator bound max(2^64, 2^{prec/2 - 32}),
+    residual 2^{-prec/2})."""
     if k < 2:
         raise InvalidK(f"k must be >= 2, got {k}")
     if not (1 <= j < k):
@@ -252,7 +250,8 @@ def rational_ratio(k: int, j: int, m: int, cfg: EvalConfig) -> Fraction:
             raise DivisionByZeroBeta(f"beta_{k}({j}) vanishes; ratio undefined")
         num = beta_coeff(k, j + m * k, cfg)
         x = num / den
-        best = mpf_to_fraction(x).limit_denominator(_DENOMINATOR_BOUND)
+        bound = max(2 ** 64, 2 ** (cfg.precision_bits // 2 - 32))
+        best = mpf_to_fraction(x).limit_denominator(bound)
         resid = abs(x - frac_to_mpf(best))
         if resid > mp.mpf(2) ** (-(cfg.precision_bits // 2)):
             raise ReconstructionFailed(

@@ -6,8 +6,9 @@ known cancellation (tracked per route), and results are rounded back to the
 target precision. Re-running with doubled precision therefore moves a result
 by no more than the final rounding, which is the package's precision contract.
 
-All functions are pure; the only shared state is a write-once cache of
-(q^c; q^c)_infinity values guarded by a lock.
+All functions are pure. The shared state is two caches, each guarded by its
+lock: (q;q)_infinity values keyed by (s, precision), bounded by evicting the
+oldest entry, and the exact g_k series per k (_GK_SERIES_CACHE).
 """
 from __future__ import annotations
 
@@ -92,7 +93,31 @@ def _round_to(x, cfg: EvalConfig):
 # ---------------------------------------------------------------------------
 
 _QQ_CACHE: dict = {}
+_QQ_CACHE_SIZE = 256
 _QQ_LOCK = threading.Lock()
+
+
+def _qprod(x, r, n, prod=1):
+    """prod * prod_{j<n} (1 - x r^j), returned with x r^n so that a later call resumes.
+
+    With x = q^a and r = q^b this extends a product by n factors of (q^a; q^b); the
+    running power costs one multiplication per factor instead of an exp/expm1.
+    Its rounding grows like j ulps in x r^j, which the callers' guard bits absorb.
+    """
+    for _ in range(n):
+        prod *= 1 - x
+        x *= r
+    return prod, x
+
+
+def _poch_inf_exps_core(start, step, s):
+    """prod_{j>=0} (1 - e^{-s(start + j*step)}) for integer start (possibly <= 0),
+    over the factors with s(start + j*step) <= (prec + 8) ln 2."""
+    n = int(mp.floor(((mp.mp.prec + 8) * LN2 / s - start) / step)) + 1
+    if n <= 0:
+        return mp.mpf(1)
+    r = mp.exp(-s * step)
+    return _qprod(r if start == step else mp.exp(-s * start), r, n)[0]
 
 
 def _qq_inf_core(s, use_transform=None):
@@ -101,6 +126,7 @@ def _qq_inf_core(s, use_transform=None):
     For small s the Dedekind-eta transformation
     (q;q)_inf = sqrt(2 pi / s) exp(-pi^2/(6s) + s/24) prod_n (1 - e^{-4 pi^2 n / s})
     converges in O(1) factors; the direct product is used otherwise.
+    The cache keeps the latest _QQ_CACHE_SIZE values, evicting the oldest first.
     """
     if use_transform is None:
         use_transform = s < 3
@@ -108,38 +134,16 @@ def _qq_inf_core(s, use_transform=None):
     hit = _QQ_CACHE.get(key)
     if hit is not None:
         return hit
-    cut = (mp.mp.prec + 8) * LN2
     if use_transform:
-        rate = 4 * mp.pi ** 2 / s
-        prod = mp.mpf(1)
-        n = 1
-        while rate * n < cut:
-            prod *= -mp.expm1(-rate * n)
-            n += 1
-        val = mp.sqrt(2 * mp.pi / s) * mp.exp(-mp.pi ** 2 / (6 * s) + s / 24) * prod
+        val = mp.sqrt(2 * mp.pi / s) * mp.exp(-mp.pi ** 2 / (6 * s) + s / 24) \
+            * _poch_inf_exps_core(1, 1, 4 * mp.pi ** 2 / s)
     else:
-        prod = mp.mpf(1)
-        n = 1
-        while s * n < cut:
-            prod *= -mp.expm1(-s * n)
-            n += 1
-        val = prod
+        val = _poch_inf_exps_core(1, 1, s)
     with _QQ_LOCK:
         _QQ_CACHE.setdefault(key, val)
+        while len(_QQ_CACHE) > _QQ_CACHE_SIZE:
+            del _QQ_CACHE[next(iter(_QQ_CACHE))]
     return val
-
-
-def _poch_inf_exps_core(start, step, s):
-    """prod_{j>=0} (1 - e^{-s(start + j*step)}) for integer start (possibly <= 0)."""
-    cut = (mp.mp.prec + 8) * LN2
-    prod = mp.mpf(1)
-    j = 0
-    while True:
-        e = start + j * step
-        if s * e > cut:
-            return prod
-        prod *= -mp.expm1(-s * e)
-        j += 1
 
 
 def pochhammer_num(z, q, cfg: EvalConfig):
@@ -334,46 +338,39 @@ def theta_num(u, s, cfg: EvalConfig, use_inversion=None):
 
 def _pm_seeds(k, s):
     """P_r = (q^{k+1-kr}; q^{k+1})_infinity for r = 0..k (the telescoping seeds)."""
-    return [_poch_inf_exps_core(k + 1 - k * r, k + 1, s) for r in range(k + 1)]
+    return [_qq_inf_core((k + 1) * s)] + [_poch_inf_exps_core(k + 1 - k * r, k + 1, s)
+                                          for r in range(1, k + 1)]
 
 
-def _In_core(k, n, s, cfg):
-    """I_n(s) at ambient precision; returns (value, max term magnitude).
+def _pm_terms(k, s, seeds, max_terms):
+    """Yield (m, P_m, (q^k;q^k)_m) for m < max_terms, with P_m = None where it vanishes.
 
-    The (q^{k+1};q^{k+1})_{-km/(k+1)} denominators are handled through
-    P_m = (q^{k+1-km}; q^{k+1})_infinity, which telescopes with period k+1:
-    P_{m+k+1} = P_m * prod_{i=0}^{k-1} (1 - q^{-km - i(k+1)}).
-    Terms with (k+1) | m vanish (P_m = 0) and are skipped symbolically.
+    P_m = (q^{k+1-km}; q^{k+1})_infinity telescopes with period k+1 from the seeds:
+    P_{m+k+1} = P_m * prod_{i=0}^{k-1} (1 - q^{-km - i(k+1)}). It is zero when
+    (k+1) | m > 0, and those terms are skipped symbolically.
     """
-    qq1 = _qq_inf_core((k + 1) * s)
-    seeds = _pm_seeds(k, s)
-    seeds[0] = qq1
     last = list(seeds)
-    poch_m = mp.mpf(1)
-    acc = mp.mpc(0)
-    maxmag = mp.mpf(0)
-    thr = cfg.threshold
-    small = 0
-    m = 0
-    while m < cfg.max_terms:
+    qk, qk_inv, q_inv_step = mp.exp(-s * k), mp.exp(s * k), mp.exp(s * (k + 1))
+    poch, qkm = mp.mpf(1), qk        # (q^k;q^k)_m and q^{k(m+1)}
+    qneg = mp.mpf(1)                 # q^{-k(m-k-1)} once m > k
+    for m in range(max_terms):
         if m:
-            poch_m *= -mp.expm1(-s * k * m)
+            poch, qkm = _qprod(qkm, qk, 1, poch)
         r = m % (k + 1)
         if m <= k:
-            pm = seeds[m]
-        elif r == 0:
-            m += 1
+            yield m, seeds[m], poch
             continue
-        else:
-            m_prev = m - (k + 1)
-            upd = mp.mpf(1)
-            for i in range(k):
-                upd *= -mp.expm1(s * (k * m_prev + i * (k + 1)))
-            pm = last[r] * upd
-            last[r] = pm
-        c_m = Fraction(k * m * (k * m + k + 1), 2 * (k + 1))
-        phase = mp.expjpi(frac_to_mpf(Fraction(m * (n + k + 1), k + 1) % 2))
-        term = phase * mp.exp(-s * frac_to_mpf(c_m)) * pm / (poch_m * qq1)
+        if r:
+            last[r] = _qprod(qneg, q_inv_step, k, last[r])[0]
+        yield m, last[r] if r else None, poch
+        qneg *= qk_inv
+
+
+def _m_sum(terms, k, thr, cap_message):
+    """Sum terms until more than 2(k+1)+2 in a row fall below thr times the largest
+    magnitude so far; returns (sum, largest magnitude)."""
+    acc, maxmag, small = 0, mp.mpf(0), 0
+    for term in terms:
         acc += term
         at = abs(term)
         maxmag = max(maxmag, at)
@@ -383,8 +380,34 @@ def _In_core(k, n, s, cfg):
                 return acc, maxmag
         else:
             small = 0
-        m += 1
-    raise TermCapExceeded(f"I_n loop exceeded max_terms at k={k}, n={n}, s={s}")
+    raise TermCapExceeded(cap_message)
+
+
+def _In_core(k, n, s, cfg, seeds=None):
+    """I_n(s) at ambient precision; returns (value, max term magnitude).
+
+    The (q^{k+1};q^{k+1})_{-km/(k+1)} denominators are P_m/(q^{k+1};q^{k+1})_inf
+    (see _pm_terms). q^{c_m}, c_m = km(km+k+1)/(2(k+1)), comes from two running
+    multipliers: c_{m+1} - c_m = k(2km+2k+1)/(2(k+1)) grows by k^2/(k+1) per step.
+    The phase has period 2(k+1) in m and is read from a table.
+    """
+    if seeds is None:
+        seeds = _pm_seeds(k, s)
+    phases = [mp.expjpi(frac_to_mpf(Fraction(m * (n + k + 1), k + 1) % 2))
+              for m in range(2 * (k + 1))]
+
+    def terms():
+        qc = mp.mpf(1)
+        dqc = mp.exp(-s * frac_to_mpf(Fraction(k * (2 * k + 1), 2 * (k + 1))))
+        ddqc = mp.exp(-s * frac_to_mpf(Fraction(k * k, k + 1)))
+        for m, pm, poch_m in _pm_terms(k, s, seeds, cfg.max_terms):
+            if pm is not None:
+                yield phases[m % len(phases)] * qc * pm / (poch_m * seeds[0])
+            qc *= dqc
+            dqc *= ddqc
+
+    return _m_sum(terms(), k, cfg.threshold,
+                  f"I_n loop exceeded max_terms at k={k}, n={n}, s={s}")
 
 
 def I_n_num(k, n, s, cfg: EvalConfig):
@@ -440,12 +463,13 @@ def _gk_insum_core(k, s, cfg):
     tot = mp.mpf(0)
     thr = cfg.threshold
     imax = mp.mpf(1)
+    seeds = _pm_seeds(k, s)
     n = 1
     while n < 200:
         w_n = mp.exp(-c * (n * n - 1))
         if n > 1 and w_n * imax * 16 < thr * max(abs(tot), mp.mpf(1)):
             break
-        val, mm = _In_core(k, n, s, cfg)
+        val, mm = _In_core(k, n, s, cfg, seeds)
         imax = max(imax, mm)
         tot += 2 * w_n * mp.re(val)
         n += 2
@@ -460,54 +484,23 @@ def _gk_direct_core(k, s, cfg):
     kept as the cross-check oracle for the regrouped route (it carries the full
     m-sum cancellation, so the caller must provide matching guard bits)."""
     t_base = Fraction(k * (k + 1), 2)
-    qqk = _qq_inf_core(k * s)
-    seeds = _pm_seeds(k, s)
-    last = list(seeds)
-    poch_m = mp.mpf(1)
-    acc = mp.mpf(0)
-    maxmag = mp.mpf(0)
-    thr = cfg.threshold
-    small = 0
     width = math.sqrt((mp.mp.prec + 16) * LN2 / float(s) / float(t_base)) + 2
-    m = 0
-    while m < cfg.max_terms:
-        if m:
-            poch_m *= -mp.expm1(-s * k * m)
-        r = m % (k + 1)
-        if m <= k:
-            pm = seeds[m]
-        elif r == 0:
-            m += 1
-            continue
-        else:
-            m_prev = m - (k + 1)
-            upd = mp.mpf(1)
-            for i in range(k):
-                upd *= -mp.expm1(s * (k * m_prev + i * (k + 1)))
-            pm = last[r] * upd
-            last[r] = pm
-        center = -m / (k + 1)
-        nlo = int(math.floor(center - width))
-        nhi = int(math.ceil(center + width))
-        th = mp.mpf(0)
-        for nn in range(nlo, nhi + 1):
-            e = k * m * nn + frac_to_mpf(t_base) * nn * nn
-            t = mp.exp(-s * e)
-            th += -t if nn % 2 else t
-        term = mp.exp(-s * (k * m * (m + 1) // 2)) * pm * th / poch_m
-        if m % 2:
-            term = -term
-        acc += term
-        at = abs(term)
-        maxmag = max(maxmag, at)
-        if at < thr * maxmag:
-            small += 1
-            if small > 2 * (k + 1) + 2:
-                return acc / qqk
-        else:
-            small = 0
-        m += 1
-    raise TermCapExceeded(f"direct g_k m-sum exceeded max_terms at k={k}, s={s}")
+
+    def terms():
+        for m, pm, poch_m in _pm_terms(k, s, _pm_seeds(k, s), cfg.max_terms):
+            if pm is None:
+                continue
+            center = -m / (k + 1)
+            th = mp.mpf(0)
+            for nn in range(int(math.floor(center - width)), int(math.ceil(center + width)) + 1):
+                t = mp.exp(-s * (k * m * nn + frac_to_mpf(t_base) * nn * nn))
+                th += -t if nn % 2 else t
+            term = mp.exp(-s * (k * m * (m + 1) // 2)) * pm * th / poch_m
+            yield -term if m % 2 else term
+
+    acc, _ = _m_sum(terms(), k, cfg.threshold,
+                    f"direct g_k m-sum exceeded max_terms at k={k}, s={s}")
+    return acc / _qq_inf_core(k * s)
 
 
 def gk_num(k, s, cfg: EvalConfig, route: str = "auto"):
@@ -548,6 +541,11 @@ def relative_error_num(k, s, cfg: EvalConfig, route: str = "auto"):
     if k < 2:
         raise InvalidK(f"k must be >= 2, got {k}")
     g = gk_num(k, s, EvalConfig(cfg.precision_bits + 32, None, cfg.max_terms), route=route)
+    return _relative_error_from_gk(k, s, g, cfg)
+
+
+def _relative_error_from_gk(k, s, g, cfg: EvalConfig):
+    """R_k from g = g_k(e^{-s}) already evaluated to cfg.precision_bits + 32 bits."""
     with mp.workprec(cfg.precision_bits + 64):
         sv = frac_to_mpf(s)
         ratio = _qq_inf_core(k * sv) / _qq_inf_core((k + 1) * sv)

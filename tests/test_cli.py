@@ -3,7 +3,7 @@ import io
 import json
 import math
 
-from qasymp import cli
+from qasymp import cli, hires
 from qasymp.errors import (InvalidK, NonConvergent, ReconstructionFailed,
                            TermCapExceeded)
 from qasymp.qseries import gk_from_oracle
@@ -78,6 +78,22 @@ class TestVerify:
         assert dev1 < dev0
 
 
+    def test_one_gk_evaluation_per_s(self, capsys, monkeypatch):
+        calls = []
+        real = hires.gk_num
+
+        def counting(*args, **kwargs):
+            calls.append(args[:2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hires, "gk_num", counting)
+        code, out = run_cli(capsys, ["verify", "--k", "3", "--s", "0.2,0.1",
+                                     "--N", "1", "--prec", "128"])
+        assert code == 0
+        assert len(out.strip().split("\n")) == 3
+        assert len(calls) == 2
+
+
 class TestZagier:
     def test_match_rows(self, capsys):
         code, out = run_cli(capsys, ["zagier", "--prec", "512"])
@@ -91,6 +107,13 @@ class TestZagier:
         assert code == 0
         rows = [line for line in out.strip().split("\n") if line.startswith(("t1,", "t2,"))]
         assert rows == ["t1,0,1,MATCH", "t2,0,5,MATCH"]
+
+    def test_m8_exact_at_256_and_1024_bits(self, capsys):
+        # t1[8] has a denominator above 2^64; the bound grows with the precision
+        for prec in ("256", "1024"):
+            code, out = run_cli(capsys, ["zagier", "--m-max", "8", "--prec", prec])
+            assert code == 0
+            assert "t1,8,-5532125340705109003/76692729615718809600,NEW" in out.split("\n")
 
     def test_c1_value_prefix(self, capsys):
         _, out = run_cli(capsys, ["zagier", "--m-max", "0", "--prec", "256"])

@@ -1,9 +1,12 @@
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qasymp import exactcore
 from qasymp.errors import ExpWithConstantTerm, InvertAtZero, SeriesTruncationError
 from qasymp.exactcore import (FormalSeries, ZPolynomial, bernoulli_number,
                               bernoulli_polynomial, polynomial_compose_affine,
@@ -43,6 +46,25 @@ class TestBernoulli:
     def test_degree(self):
         for m in (0, 1, 5, 10):
             assert bernoulli_polynomial(m).degree == m
+
+
+    def test_threaded_fill_of_empty_cache(self, monkeypatch):
+        # eight threads extending an emptied cache at once must append each B_m once
+        serial = [bernoulli_number(m) for m in range(61)]
+        monkeypatch.setattr(exactcore, "_BERNOULLI", [F(1)])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=bernoulli_number, args=(60,)) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(exactcore._BERNOULLI) == 61
+        assert exactcore._BERNOULLI == serial
 
 
 class TestPolynomial:

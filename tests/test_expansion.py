@@ -203,6 +203,18 @@ class TestRationalRatio:
             for m in (1, 2, 3, 4, 5):
                 assert rational_ratio(3, j, m, lo) == rational_ratio(3, j, m, hi)
 
+    @pytest.mark.parametrize("prec", [128, 192, 256])
+    def test_ratios_through_m7_at_low_precision(self, prec):
+        t1, t2 = zagier_t_coeffs(7, EvalConfig(prec))
+        assert t1 == [F(1), F(-7, 192), F(-97, 6912), F(-40061, 2654208),
+                      F(-18915331, 1911029760), F(-13796617247, 489223618560),
+                      F(-148556971831, 7925422620672),
+                      F(-778221808170037, 7608405715845120)]
+        assert t2 == [F(5), F(-29, 48), F(19435, 55296), F(-14885, 110592),
+                      F(51970999, 191102976), F(-28436136277, 183458856960),
+                      F(39501784355659, 63403380965376),
+                      F(-2437971279843259, 5325884001091584)]
+
     def test_range_validation(self):
         cfg = EvalConfig(128)
         with pytest.raises(ValueError):

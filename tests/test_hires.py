@@ -5,6 +5,7 @@ import mpmath as mp
 import pytest
 
 from conftest import close_bits
+from qasymp import hires
 from qasymp.errors import InvalidK, NonConvergent, PoleAtNonpositive
 from qasymp.exactcore import bernoulli_number, bernoulli_polynomial
 from qasymp.hires import (EvalConfig, I_n_num, frac_to_mpf, gamma_q_num, gk_num,
@@ -127,6 +128,51 @@ class TestDedekind:
         assert close_bits(direct, transformed, 248, scale=abs(transformed))
 
 
+class TestQProductKernel:
+    """The running-power product kernel against mpmath's own q-Pochhammer."""
+
+    def test_finite_product_and_resume_power(self):
+        with mp.workprec(256):
+            q = mp.exp(-mp.mpf("0.3"))
+            prod, x = hires._qprod(q ** 2, q ** 3, 7)
+            assert close_bits(prod, mp.qp(q ** 2, q ** 3, 7), 240)
+            assert close_bits(x, q ** 23, 240, scale=q ** 23)
+            # resuming from the returned power continues the same product
+            more, _ = hires._qprod(x, q ** 3, 5, prod)
+            assert close_bits(more, mp.qp(q ** 2, q ** 3, 12), 240)
+
+    @pytest.mark.parametrize("start", [4, 1, 0, -1, -5])
+    @pytest.mark.parametrize("sstr", ["0.5", "0.05"])
+    def test_infinite_product_any_start(self, start, sstr):
+        with mp.workprec(256):
+            s = mp.mpf(sstr)
+            got = hires._poch_inf_exps_core(start, 4, s)
+        with mp.workprec(320):
+            q = mp.exp(-mp.mpf(sstr))
+            ref = mp.qp(q ** start, q ** 4)
+        if start == 0:
+            assert got == 0
+        else:
+            assert close_bits(got, ref, 240, scale=abs(ref))
+
+    @pytest.mark.parametrize("sstr,transform", [("0.05", True), ("0.5", True),
+                                                ("0.5", False), ("4", False)])
+    def test_qq_both_branches(self, sstr, transform):
+        with mp.workprec(256):
+            got = hires._qq_inf_core(mp.mpf(sstr), use_transform=transform)
+        with mp.workprec(320):
+            ref = mp.qp(mp.exp(-mp.mpf(sstr)))
+        assert close_bits(got, ref, 240, scale=ref)
+
+    def test_qq_cache_is_bounded(self):
+        with mp.workprec(128):
+            for i in range(hires._QQ_CACHE_SIZE + 20):
+                hires._qq_inf_core(mp.mpf(1) + i * mp.mpf(2) ** -40)
+            newest = hires._qq_inf_core(mp.mpf(7))
+        assert len(hires._QQ_CACHE) <= hires._QQ_CACHE_SIZE
+        assert list(hires._QQ_CACHE.values())[-1] is newest
+
+
 class TestGk:
     def test_series_route_is_exact_series(self, cfg192):
         # sum the exact coefficients independently at q = e^-5
@@ -162,6 +208,23 @@ class TestGk:
             gk_num(1, 0.5, cfg192)
         with pytest.raises(ValueError):
             gk_num(2, -1, cfg192)
+
+    def test_g2_mock_theta_product(self):
+        # g_2(q) = chi(q) (-q^3;q^3)_inf / (-q;q)_inf with Ramanujan's
+        # chi(q) = sum_n q^{n^2} prod_{j<=n} (1+q^j)/(1+q^{3j}), all in plain mpmath
+        p = 256
+        got = gk_num(2, "0.05", EvalConfig(p))
+        with mp.workprec(p + 32):
+            q = mp.exp(-mp.mpf("0.05"))
+            chi, term, n = mp.mpf(1), mp.mpf(1), 1
+            while True:
+                term *= q ** (2 * n - 1) * (1 + q ** n) / (1 + q ** (3 * n))
+                chi += term
+                if term < mp.eps * chi:
+                    break
+                n += 1
+            ref = chi * mp.qp(-q ** 3, q ** 3) / mp.qp(-q, q)
+        assert close_bits(got, ref, p - 8, scale=ref)
 
 
 class TestRelativeError:
