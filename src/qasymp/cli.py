@@ -135,13 +135,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     deviations = []
     for sf in cfg.s_grid:
         s = _s_to_mpf(sf, cfg.precision_bits + 32)
-        # one g_k per s: R_k needs it to p + 32 bits, the other columns to p
-        g_wide = hires.gk_num(cfg.k, s, EvalConfig(cfg.precision_bits + 32, None, ec.max_terms))
-        g = hires._round_to(g_wide, ec)
+        g, r = hires.gk_and_relative_error_num(cfg.k, s, ec)
         e = expansion.expansion_eval(cfg.k, cfg.n_order, s, ec)
         with mp.workprec(cfg.precision_bits + 32):
             dev = abs(g - e) / abs(g)
-            r = hires._relative_error_from_gk(cfg.k, s, g_wide, ec)
             w0 = wright.W_j_num(cfg.k, 0, _w_of_s(cfg.k, s), ec)
         deviations.append(dev)
         p = cfg.precision_bits

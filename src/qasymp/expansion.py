@@ -234,8 +234,13 @@ def expansion_eval(k: int, n_order: int, s, cfg: EvalConfig):
 
 def rational_ratio(k: int, j: int, m: int, cfg: EvalConfig) -> Fraction:
     """beta_k(j + mk)/beta_k(j) reconstructed as an exact rational via
-    continued-fraction convergents (denominator bound max(2^64, 2^{prec/2 - 32}),
-    residual 2^{-prec/2})."""
+    continued-fraction convergents.
+
+    The ratio x is evaluated at P = max(precision_bits, 192) bits and its closest
+    fraction a/q with q <= 2^{P/2} is accepted only if, exactly, |x - a/q| <= 2^{-P/2}
+    and q^2 |x - a/q| <= 2^{-32}. A ratio whose true denominator is out of reach still
+    has a closest fraction, but with q^2 |x - a/q| of order 1, so it raises
+    ReconstructionFailed instead of returning that fraction."""
     if k < 2:
         raise InvalidK(f"k must be >= 2, got {k}")
     if not (1 <= j < k):
@@ -244,18 +249,21 @@ def rational_ratio(k: int, j: int, m: int, cfg: EvalConfig) -> Fraction:
         raise ValueError("m must be >= 0")
     if m == 0:
         return Fraction(1)
-    with mp.workprec(cfg.precision_bits + 16):
-        den = beta_coeff(k, j, cfg)
-        if den == 0 or abs(den) < mp.mpf(2) ** (-(cfg.precision_bits // 2)):
+    bits = max(cfg.precision_bits, 192)
+    sub = EvalConfig(bits)
+    with mp.workprec(bits + 16):
+        den = beta_coeff(k, j, sub)
+        if den == 0 or abs(den) < mp.mpf(2) ** (-(bits // 2)):
             raise DivisionByZeroBeta(f"beta_{k}({j}) vanishes; ratio undefined")
-        num = beta_coeff(k, j + m * k, cfg)
-        x = num / den
-        bound = max(2 ** 64, 2 ** (cfg.precision_bits // 2 - 32))
-        best = mpf_to_fraction(x).limit_denominator(bound)
-        resid = abs(x - frac_to_mpf(best))
-        if resid > mp.mpf(2) ** (-(cfg.precision_bits // 2)):
+        num = beta_coeff(k, j + m * k, sub)
+        x = mpf_to_fraction(num / den)
+        best = x.limit_denominator(2 ** (bits // 2))
+        resid = abs(x - best)
+        if resid > Fraction(1, 2 ** (bits // 2)) \
+                or resid * best.denominator ** 2 > Fraction(1, 2 ** 32):
             raise ReconstructionFailed(
-                f"residual {mp.nstr(resid, 5)} too large for beta_{k}({j + m * k})/beta_{k}({j}); "
+                f"residual {mp.nstr(frac_to_mpf(resid), 5)} too large for "
+                f"beta_{k}({j + m * k})/beta_{k}({j}) with denominator {best.denominator}; "
                 "increase precision_bits")
         return best
 

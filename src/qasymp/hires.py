@@ -116,8 +116,7 @@ def _poch_inf_exps_core(start, step, s):
     n = int(mp.floor(((mp.mp.prec + 8) * LN2 / s - start) / step)) + 1
     if n <= 0:
         return mp.mpf(1)
-    r = mp.exp(-s * step)
-    return _qprod(r if start == step else mp.exp(-s * start), r, n)[0]
+    return _qprod(mp.exp(-s * start), mp.exp(-s * step), n)[0]
 
 
 def _qq_inf_core(s, use_transform=None):
@@ -383,7 +382,7 @@ def _m_sum(terms, k, thr, cap_message):
     raise TermCapExceeded(cap_message)
 
 
-def _In_core(k, n, s, cfg, seeds=None):
+def _In_core(k, n, s, cfg, seeds):
     """I_n(s) at ambient precision; returns (value, max term magnitude).
 
     The (q^{k+1};q^{k+1})_{-km/(k+1)} denominators are P_m/(q^{k+1};q^{k+1})_inf
@@ -391,8 +390,6 @@ def _In_core(k, n, s, cfg, seeds=None):
     multipliers: c_{m+1} - c_m = k(2km+2k+1)/(2(k+1)) grows by k^2/(k+1) per step.
     The phase has period 2(k+1) in m and is read from a table.
     """
-    if seeds is None:
-        seeds = _pm_seeds(k, s)
     phases = [mp.expjpi(frac_to_mpf(Fraction(m * (n + k + 1), k + 1) % 2))
               for m in range(2 * (k + 1))]
 
@@ -421,7 +418,8 @@ def I_n_num(k, n, s, cfg: EvalConfig):
         raise NonConvergent("I_n needs s > 0")
     guard = int(1.4427 / (k * (k + 1) * as_float(s))) + 96
     with mp.workprec(cfg.precision_bits + guard):
-        val, _ = _In_core(k, n, frac_to_mpf(s), cfg)
+        sv = frac_to_mpf(s)
+        val, _ = _In_core(k, n, sv, cfg, _pm_seeds(k, sv))
         return _round_to(val, cfg)
 
 
@@ -538,17 +536,18 @@ def relative_error_num(k, s, cfg: EvalConfig, route: str = "auto"):
     """R_k(q) = g_k(q) (q^k;q^k)_inf/(q^{k+1};q^{k+1})_inf
 
     * sqrt(k(k+1)s/(2 pi)) e^{pi^2/(2k(k+1)s)}, with q = e^{-s}."""
+    return gk_and_relative_error_num(k, s, cfg, route)[1]
+
+
+def gk_and_relative_error_num(k, s, cfg: EvalConfig, route: str = "auto"):
+    """(g_k(e^{-s}), R_k(e^{-s})) to the configured precision from one g_k
+    evaluation, made at precision_bits + 32 bits because R_k needs them."""
     if k < 2:
         raise InvalidK(f"k must be >= 2, got {k}")
     g = gk_num(k, s, EvalConfig(cfg.precision_bits + 32, None, cfg.max_terms), route=route)
-    return _relative_error_from_gk(k, s, g, cfg)
-
-
-def _relative_error_from_gk(k, s, g, cfg: EvalConfig):
-    """R_k from g = g_k(e^{-s}) already evaluated to cfg.precision_bits + 32 bits."""
     with mp.workprec(cfg.precision_bits + 64):
         sv = frac_to_mpf(s)
         ratio = _qq_inf_core(k * sv) / _qq_inf_core((k + 1) * sv)
         val = g * ratio * mp.sqrt(k * (k + 1) * sv / (2 * mp.pi)) \
             * mp.exp(mp.pi ** 2 / (2 * k * (k + 1) * sv))
-        return _round_to(val, cfg)
+        return _round_to(g, cfg), _round_to(val, cfg)

@@ -115,6 +115,12 @@ class TestZagier:
             assert code == 0
             assert "t1,8,-5532125340705109003/76692729615718809600,NEW" in out.split("\n")
 
+    def test_m8_exact_at_128_and_192_bits(self, capsys):
+        for prec in ("128", "192"):
+            code, out = run_cli(capsys, ["zagier", "--m-max", "8", "--prec", prec])
+            assert code == 0
+            assert "t1,8,-5532125340705109003/76692729615718809600,NEW" in out.split("\n")
+
     def test_c1_value_prefix(self, capsys):
         _, out = run_cli(capsys, ["zagier", "--m-max", "0", "--prec", "256"])
         c1_line = out.split("\n")[0]

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from conftest import close_bits
-from qasymp.errors import InvalidK
+from qasymp.errors import InvalidK, ReconstructionFailed
 from qasymp.exactcore import (bernoulli_number, bernoulli_polynomial,
                               polynomial_compose_affine)
 from qasymp.expansion import (beta_coeff, build_puiseux, expansion_eval,
@@ -214,6 +214,26 @@ class TestRationalRatio:
                       F(51970999, 191102976), F(-28436136277, 183458856960),
                       F(39501784355659, 63403380965376),
                       F(-2437971279843259, 5325884001091584)]
+
+    def test_exact_or_refused_at_320_bits(self):
+        # t1[20] and t1[21] have denominators of 185 and 197 bits, above the
+        # 2^160 bound at 320 bits: their closest bounded fractions must be refused
+        hi = EvalConfig(1024)
+        refused = set()
+        for m in range(12, 22):
+            try:
+                got = rational_ratio(3, 1, m, EvalConfig(320))
+            except ReconstructionFailed:
+                refused.add(m)
+                continue
+            assert got == rational_ratio(3, 1, m, hi)
+        assert {20, 21} <= refused
+
+    def test_64_bits_reconstructs_exactly(self):
+        # ratios are evaluated at no fewer than 192 bits whatever the precision
+        lo = EvalConfig(64)
+        assert rational_ratio(3, 1, 1, lo) == F(-7, 192)
+        assert rational_ratio(4, 1, 1, lo) == F(279, 10000)
 
     def test_range_validation(self):
         cfg = EvalConfig(128)
