@@ -5,7 +5,12 @@ Two evaluation routes for the real parts:
 
 * direct series summation (`wright_phi`, `wright_phi_moment`) -- the imaginary
   part of phi on the relevant ray grows like exp(c w^{k+1}) while the real part
-  stays O(1), so direct summation needs guard bits proportional to w^{k+1};
+  stays O(1), so direct summation needs guard bits proportional to w^{k+1}.
+  The factors 1/Gamma(beta - rho n), rho = p/q, come from one chain per
+  residue of n mod q: 1/Gamma(x - p) = (x-1)...(x-p)/Gamma(x) for p > 0 and
+  1/Gamma(x + |p|) = 1/(x (x+1)...(x+|p|-1) Gamma(x)) for p <= 0, an exact
+  rational factor per step; `reciprocal_gamma` runs only where a chain starts
+  or restarts after an exact zero (a pole);
 
 * an analytically reflected integral (used by `W_j_num` for large w): with
   S_j(W) = sum_{m>=1} m^j Gamma(rho m) W^m / m! one has, for z > 0,
@@ -16,13 +21,26 @@ Two evaluation routes for the real parts:
   (B_j = Bell polynomial, B_0-case uses expm1), where the ray angle psi is
   chosen so the integrand decays without large intermediate values. The huge
   purely-imaginary component of phi cancels in the reflection, so quadrature
-  at ordinary precision suffices for any w.
+  at ordinary precision suffices for any w. With rho = k/(k+1) the substitution
+  u = e^{i psi} v^{k+1} turns the integral into
+
+      (k+1) int_0^inf F(c v^k) exp(-e^{i psi} v^{k+1}) dv / v,   c = W e^{i psi rho},
+
+  F(x) = expm1(x) or B_j(x) e^x: no complex power per node, and an integrand
+  analytic at v = 0 (it vanishes there like v^{k-1}). On the ray
+  |F(x) e^{-u}| <= M_j e^{-m v^{k+1}}, with m = min(cos psi, -cos(2 pi rho + rho psi))
+  the decay rate of the ray and M_j = sup_y B_j(y) e^{-m y} (M_0 = 2), so the
+  integral is cut at the V where the tail bound M_j e^{-m V^{k+1}}/(m V^{k+1})
+  falls below 2^-(working bits + 32).
 
 rho and beta are taken as exact Fractions so that the poles of Gamma(beta - rho n)
 (terms skipped exactly) are detected symbolically, never by floating comparison.
+Inputs given as int, str or Fraction are read exactly; a float is taken at its
+exact binary value (Fraction(x)), never rounded to a nearby simple fraction.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,14 +54,8 @@ LN2 = math.log(2.0)
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+    if isinstance(x, (Fraction, int, str, float)):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10 ** 12)
     raise TypeError(f"need an exact rational, got {type(x).__name__}")
 
 
@@ -61,20 +73,50 @@ class WrightParams:
             raise NonConvergent(f"wright series needs rho < 1, got rho={self.rho}")
 
 
+def _sinpi_frac(x: Fraction):
+    """sin(pi x) for exact rational x, evaluated on the exactly reduced
+    fractional part, so arguments near an integer lose no accuracy."""
+    flo = x.numerator // x.denominator
+    sv = mp.sinpi(frac_to_mpf(x - flo))
+    return sv if flo % 2 == 0 else -sv
+
+
 def reciprocal_gamma(x: Fraction):
     """1/Gamma(x) for exact rational x: exact zero at non-positive integers,
-    reflection through Gamma(1-x) sin(pi x)/pi for x < 1/2 (sin on the exactly
-    reduced fractional part, so near-pole arguments lose no accuracy)."""
+    reflection through Gamma(1-x) sin(pi x)/pi for x < 1/2."""
     x = _as_fraction(x)
     if x.denominator == 1 and x <= 0:
         return mp.mpf(0)
     if x >= Fraction(1, 2):
         return mp.rgamma(frac_to_mpf(x))
-    flo = x.numerator // x.denominator
-    frac_part = x - flo
-    sgn = 1 if flo % 2 == 0 else -1
-    sv = sgn * mp.sinpi(frac_to_mpf(frac_part))
-    return mp.gamma(frac_to_mpf(1 - x)) * sv / mp.pi
+    return mp.gamma(frac_to_mpf(1 - x)) * _sinpi_frac(x) / mp.pi
+
+
+def _rgamma_stream(rho: Fraction, beta: Fraction):
+    """Yield 1/Gamma(beta - rho n) for n = 0, 1, 2, ... at the ambient precision.
+
+    With rho = p/q, terms n and n + q lie on one chain, their arguments x and
+    x - p linked by the exact factor (x-1)...(x-p) (p > 0) or
+    1/(x (x+1)...(x+|p|-1)) (p <= 0), taken as integers over the common
+    denominator d of the arguments. A chain calls reciprocal_gamma where it
+    starts and where its value is exactly zero (a pole)."""
+    p, q = rho.numerator, rho.denominator
+    d = math.lcm(q, beta.denominator)
+    beta_d, rho_d, d_p = int(beta * d), int(rho * d), d ** abs(p)
+    chains = [None] * q
+    for n in itertools.count():
+        r = n % q
+        val = chains[r]
+        if val is None or val == 0:
+            val = reciprocal_gamma(Fraction(beta_d - rho_d * n, d))
+        else:
+            xd = beta_d - rho_d * (n - q)  # the chain's previous argument, times d
+            if p > 0:
+                val = val * math.prod(xd - i * d for i in range(1, p + 1)) / d_p
+            else:
+                val = val * d_p / math.prod(xd + i * d for i in range(-p))
+        chains[r] = val
+        yield val
 
 
 def _phi_cancel_bits(rho: Fraction, zabs: float) -> int:
@@ -99,19 +141,28 @@ def _phi_series_core(params: WrightParams, z, j: int, cfg: EvalConfig):
     power = mp.mpf(1)
     maxmag = mp.mpf(0)
     small = 0
+    pole = None  # (N, N!) at the last pole term
+    rgs = _rgamma_stream(rho, beta)
     for n in range(n_cap + 1):
         if n:
             power = power * zc / n
-        rg = reciprocal_gamma(beta - rho * n)
+        rg = next(rgs)
         if rg != 0:
             t = (n ** j) * power * rg if j else power * rg
             tot += t
             at = abs(t)
             maxmag = max(maxmag, at)
         else:
-            # skipped pole term: bound its neighbors' size through the reflection
-            # |1/Gamma(beta - rho n)| <= Gamma(1 + rho n - beta)/pi
-            at = abs(power) * mp.gamma(frac_to_mpf(1 + rho * n - beta)) / mp.pi
+            # skipped pole term beta - rho n = -N: bound its neighbors' size
+            # through the reflection |1/Gamma(beta - rho n)| <= N!/pi, with N!
+            # carried on from the previous pole by an exact integer product
+            big_n = int(rho * n - beta)
+            if pole is not None and pole[0] <= big_n:
+                fac = pole[1] * math.prod(range(pole[0] + 1, big_n + 1))
+            else:
+                fac = mp.gamma(big_n + 1)
+            pole = (big_n, fac)
+            at = abs(power) * fac / mp.pi
         # absolute tail cut: on the oscillatory rays both the largest term and
         # the accumulated sum peak exponentially above the O(1) real part, so
         # any magnitude-relative cut would abandon the tail too early
@@ -162,9 +213,7 @@ def b_k_coeff(k: int, j: int, cfg: EvalConfig):
     if j % k == 0:
         return mp.mpf(0)
     with mp.workprec(cfg.precision_bits + 32):
-        arg = Fraction(j * (k - 1), k)
-        flo = arg.numerator // arg.denominator
-        sv = (1 if flo % 2 == 0 else -1) * mp.sinpi(frac_to_mpf(arg - flo))
+        sv = _sinpi_frac(Fraction(j * (k - 1), k))
         sgn = -1 if j % 2 == 0 else 1
         val = mp.mpf(k + 1) / (k * mp.pi * mp.factorial(j)) * sgn * sv \
             * mp.gamma(frac_to_mpf(Fraction(j * (k + 1), k)))
@@ -192,8 +241,7 @@ def re_phi_expansion(rho, z, L: int, cfg: EvalConfig):
             sarg = Fraction(ell) * (2 * rho - 1) / rho
             if sarg.denominator == 1:
                 continue
-            flo = sarg.numerator // sarg.denominator
-            sv = (1 if flo % 2 == 0 else -1) * mp.sinpi(frac_to_mpf(sarg - flo))
+            sv = _sinpi_frac(sarg)
             sgn = -1 if ell % 2 == 0 else 1
             term = sgn / mp.factorial(ell) * mp.gamma(frac_to_mpf(Fraction(ell) / rho)) \
                 * mp.power(zv, -frac_to_mpf(Fraction(ell) / rho)) * sv
@@ -203,33 +251,22 @@ def re_phi_expansion(rho, z, L: int, cfg: EvalConfig):
 
 def W0_expansion(k: int, L: int, w, cfg: EvalConfig):
     """(k+1)/k + sum_{l=1}^{L-1} b_k(l) w^{-l(k+1)/k}; remainder O(w^{-L(k+1)/k})."""
-    if k < 2:
-        raise InvalidK(f"k must be >= 2, got {k}")
-    with mp.workprec(cfg.precision_bits + 32):
-        tot = mp.mpf(k + 1) / k
-        wv = frac_to_mpf(w)
-        for ell in range(1, L):
-            b = b_k_coeff(k, ell, EvalConfig(cfg.precision_bits + 32))
-            if b != 0:
-                tot += b * mp.power(wv, -frac_to_mpf(Fraction(ell * (k + 1), k)))
-        return _round_to(tot, cfg)
+    return Wj_expansion(k, 0, L, w, cfg)
 
 
 def Wj_expansion(k: int, j: int, L: int, w, cfg: EvalConfig):
-    """sum_{l=1}^{L-1} (-l(k+1)/k)^j b_k(l) w^{-l(k+1)/k} for j >= 1
-    (the j-th moment expansion; no constant term)."""
+    """[j = 0] (k+1)/k + sum_{l=1}^{L-1} (-l(k+1)/k)^j b_k(l) w^{-l(k+1)/k}, the
+    j-th moment expansion; remainder O(w^{-L(k+1)/k})."""
     if k < 2:
         raise InvalidK(f"k must be >= 2, got {k}")
-    if j == 0:
-        return W0_expansion(k, L, w, cfg)
     with mp.workprec(cfg.precision_bits + 32):
-        tot = mp.mpf(0)
+        tot = mp.mpf(k + 1) / k if j == 0 else mp.mpf(0)
         wv = frac_to_mpf(w)
         for ell in range(1, L):
             b = b_k_coeff(k, ell, EvalConfig(cfg.precision_bits + 32))
             if b != 0:
-                fac = mp.power(-frac_to_mpf(Fraction(ell * (k + 1), k)), j)
-                tot += fac * b * mp.power(wv, -frac_to_mpf(Fraction(ell * (k + 1), k)))
+                e = frac_to_mpf(Fraction(ell * (k + 1), k))
+                tot += mp.power(-e, j) * b * mp.power(wv, -e)
         return _round_to(tot, cfg)
 
 
@@ -252,8 +289,9 @@ def _bell_poly(j: int) -> list[int]:
     return b
 
 
-def _ray_angle(rho: float) -> float:
-    """Grid-search psi in (-pi/2, pi/2) maximizing min(cos psi, -cos(2 pi rho + rho psi))."""
+def _ray_angle(rho: float) -> tuple[float, float]:
+    """Grid-search psi in (-pi/2, pi/2) maximizing the ray's decay rate
+    m = min(cos psi, -cos(2 pi rho + rho psi)); returns (psi, m)."""
     best = (-2.0, 0.0)
     for i in range(-59, 60):
         psi = math.pi * i / 120.0
@@ -262,35 +300,46 @@ def _ray_angle(rho: float) -> float:
             best = (m, psi)
     if best[0] <= 0.05:
         raise NonConvergent(f"no usable integration ray for rho={rho}")
-    return best[1]
+    return best[1], best[0]
+
+
+def _quad_cut(k: int, bell, m: float) -> float:
+    """V with M_j e^{-m S}/(m S) <= 2^-(working bits + 32), S = V^{k+1}:
+    the tail of the v-integral beyond V, where |F(x) e^{-u}| <= M_j e^{-m v^{k+1}}
+    and M_j = sup_y B_j(y) e^{-m y} <= sum_d b_d (d/(e m))^d (M_0 = 2)."""
+    if bell is None:
+        big_m = 2.0
+    else:
+        big_m = sum(c * (d / (math.e * m)) ** d for d, c in enumerate(bell) if c)
+    m_s = (mp.mp.prec + 32) * LN2 + math.log(max(big_m, 1.0))
+    return (m_s / m) ** (1.0 / (k + 1))
 
 
 def _Wj_quad_core(k: int, j: int, w, cfg: EvalConfig):
     rho_f = Fraction(k, k + 1)
-    rho = frac_to_mpf(rho_f)
-    psi = _ray_angle(float(rho_f))
-    wv = frac_to_mpf(w)
-    big_w = wv * mp.expjpi(frac_to_mpf(2 * rho_f % 2))
-    eip = mp.exp(1j * mp.mpf(psi))
+    psi, m = _ray_angle(float(rho_f))
+    psi = mp.mpf(psi)
+    eip = mp.expj(psi)
+    c = frac_to_mpf(w) * mp.expj((2 * mp.pi + psi) * frac_to_mpf(rho_f))
     bell = _bell_poly(j) if j >= 1 else None
 
-    def integrand(t):
-        if t <= 0:
+    def integrand(v):
+        if v <= 0:
             return mp.mpc(0)
-        u = eip * t
-        x = big_w * mp.power(u, rho)
+        vk = v ** k
+        x = c * vk
         if j == 0:
-            return mp.expm1(x) * mp.exp(-u) / t
+            return (k + 1) * mp.expm1(x) * mp.exp(-eip * (vk * v)) / v
         acc = mp.mpc(0)
         xp = mp.mpc(1)
         for d in range(1, len(bell)):
             xp *= x
             if bell[d]:
                 acc += bell[d] * xp
-        return acc * mp.exp(x - u) / t
+        return (k + 1) * acc * mp.exp(x - eip * (vk * v)) / v
 
-    scale = mp.power(wv, -1 / rho)
-    pts = [mp.mpf(0), scale, 10 * scale + 5, mp.inf]
+    cut = mp.mpf(_quad_cut(k, bell, m))
+    pts = [mp.mpf(0), cut / 4, cut / 2, cut]
     val, err = mp.quad(integrand, pts, error=True, maxdegree=10)
     target = mp.mpf(2) ** (-(cfg.precision_bits + 8))
     if err > target * max(1, abs(val)):
