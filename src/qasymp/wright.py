@@ -10,7 +10,8 @@ Two evaluation routes for the real parts:
   residue of n mod q: 1/Gamma(x - p) = (x-1)...(x-p)/Gamma(x) for p > 0 and
   1/Gamma(x + |p|) = 1/(x (x+1)...(x+|p|-1) Gamma(x)) for p <= 0, an exact
   rational factor per step; `reciprocal_gamma` runs only where a chain starts
-  or restarts after an exact zero (a pole);
+  or restarts after an exact zero (a pole), and per term for a rho whose
+  numerator or denominator exceeds 64, where chains would cost more;
 
 * an analytically reflected integral (used by `W_j_num` for large w): with
   S_j(W) = sum_{m>=1} m^j Gamma(rho m) W^m / m! one has, for z > 0,
@@ -92,6 +93,9 @@ def reciprocal_gamma(x: Fraction):
     return mp.gamma(frac_to_mpf(1 - x)) * _sinpi_frac(x) / mp.pi
 
 
+_CHAIN_MAX = 64
+
+
 def _rgamma_stream(rho: Fraction, beta: Fraction):
     """Yield 1/Gamma(beta - rho n) for n = 0, 1, 2, ... at the ambient precision.
 
@@ -99,8 +103,15 @@ def _rgamma_stream(rho: Fraction, beta: Fraction):
     x - p linked by the exact factor (x-1)...(x-p) (p > 0) or
     1/(x (x+1)...(x+|p|-1)) (p <= 0), taken as integers over the common
     denominator d of the arguments. A chain calls reciprocal_gamma where it
-    starts and where its value is exactly zero (a pole)."""
+    starts and where its value is exactly zero (a pole).
+
+    A step multiplies |p| integers and there are q chains, so chains run only
+    for |p|, q <= _CHAIN_MAX; any other rho (a float read at its exact binary
+    value has q = 2^55, say) takes reciprocal_gamma per term."""
     p, q = rho.numerator, rho.denominator
+    if abs(p) > _CHAIN_MAX or q > _CHAIN_MAX:
+        for n in itertools.count():
+            yield reciprocal_gamma(beta - rho * n)
     d = math.lcm(q, beta.denominator)
     beta_d, rho_d, d_p = int(beta * d), int(rho * d), d ** abs(p)
     chains = [None] * q
@@ -141,7 +152,6 @@ def _phi_series_core(params: WrightParams, z, j: int, cfg: EvalConfig):
     power = mp.mpf(1)
     maxmag = mp.mpf(0)
     small = 0
-    pole = None  # (N, N!) at the last pole term
     rgs = _rgamma_stream(rho, beta)
     for n in range(n_cap + 1):
         if n:
@@ -154,14 +164,10 @@ def _phi_series_core(params: WrightParams, z, j: int, cfg: EvalConfig):
             maxmag = max(maxmag, at)
         else:
             # skipped pole term beta - rho n = -N: bound its neighbors' size
-            # through the reflection |1/Gamma(beta - rho n)| <= N!/pi, with N!
-            # carried on from the previous pole by an exact integer product
-            big_n = int(rho * n - beta)
-            if pole is not None and pole[0] <= big_n:
-                fac = pole[1] * math.prod(range(pole[0] + 1, big_n + 1))
-            else:
-                fac = mp.gamma(big_n + 1)
-            pole = (big_n, fac)
+            # through the reflection |1/Gamma(beta - rho n)| <= N!/pi; the bound
+            # only feeds the stop rule, so N! needs no more than 53 bits
+            with mp.workprec(53):
+                fac = mp.factorial(int(rho * n - beta))
             at = abs(power) * fac / mp.pi
         # absolute tail cut: on the oscillatory rays both the largest term and
         # the accumulated sum peak exponentially above the O(1) real part, so

@@ -9,8 +9,8 @@ import pytest
 
 from conftest import close_bits
 from qasymp.hires import EvalConfig, frac_to_mpf
-from qasymp.wright import (W_j_num, WrightParams, _rgamma_stream, reciprocal_gamma,
-                           wright_phi)
+from qasymp.wright import (W_j_num, WrightParams, _phi_cancel_bits, _rgamma_stream,
+                           reciprocal_gamma, wright_phi)
 
 
 def _contract_holds(got, ref, p):
@@ -37,6 +37,17 @@ class TestQuadratureContract:
     def test_128_bits(self):
         ref = W_j_num(2, 0, 30, EvalConfig(384), route="quadrature")
         assert _contract_holds(W_j_num(2, 0, 30, EvalConfig(128)), ref, 128)
+
+    @pytest.mark.parametrize("p", [192, 256])
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_large_w(self, p, k, j):
+        # the cut [0, V/4, V/2, V] does not follow w, while the integrand
+        # changes regime at v = w^(-1/k), far below V/4 here
+        for w in (500, 5000):
+            ref = W_j_num(k, j, w, EvalConfig(p + 256), route="quadrature")
+            assert _contract_holds(W_j_num(k, j, w, EvalConfig(p), route="quadrature"),
+                                   ref, p), w
 
 
 class TestReciprocalGammaChains:
@@ -169,6 +180,19 @@ class TestFrozenSeriesValues:
             got = W_j_num(k, j, F(w), EvalConfig(p), route="series")
             assert got._mpf_ == _mpf_tuple(text), p
 
+    @pytest.mark.parametrize("k, j, w, text", [
+        (2, 0, F(45, 2), "0xc081e419fb4dd656457cf4d13486963p-123"),
+        (3, 2, F(45, 4), "0x35a4d65681dbc3c946da6aa540a897b1p-131"),
+    ], ids=["k2-j0-w45/2", "k3-j2-w45/4"])
+    def test_longest_chains(self, k, j, w, text):
+        # near the largest w the auto route still sums as a series at 128
+        # bits (about 2650 working bits, thousands of terms, so each chain
+        # takes hundreds of steps): the rounding the chains accumulate stays
+        # inside the guard bits
+        assert _phi_cancel_bits(F(k, k + 1), float(w)) + 128 > 2560
+        got = W_j_num(k, j, w, EvalConfig(128))
+        assert got._mpf_ == _mpf_tuple(text)
+
     @pytest.mark.parametrize("s", sorted(_FROZEN_PHI))
     def test_wright_phi(self, s):
         with mp.workprec(256):
@@ -188,3 +212,18 @@ class TestFloatInputs:
             # the same number hires reads from the float
             assert frac_to_mpf(WrightParams(0.1).rho) == frac_to_mpf(0.1)
             assert reciprocal_gamma(-2.5) == reciprocal_gamma(F(-5, 2))
+
+    @pytest.mark.parametrize("rho", [0.1, F(123457, 1000000), F(1, 64), F(1, 65)],
+                             ids=str)
+    def test_evaluates_wide_fractions(self, rho):
+        # 0.1 is 3602879701896397/2^55: chains would need 2^55 residues and
+        # powers of 2^55 to the numerator, so such rho must sum per term
+        params, cfg = WrightParams(rho), EvalConfig(128)
+        rho, beta = params.rho, params.beta
+        with mp.workprec(192):
+            ref, power = mp.mpf(0), mp.mpf(1)
+            for n in range(120):
+                if n:
+                    power /= n
+                ref += power * reciprocal_gamma(beta - rho * n)
+        assert close_bits(wright_phi(params, 1, cfg), ref, 120)
