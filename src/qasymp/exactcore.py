@@ -3,6 +3,10 @@
 Rationals are ``fractions.Fraction`` (always reduced, positive denominator); integer
 coefficients are kept as plain ``int`` where possible since Python mixes the two
 transparently. Everything here is immutable and safe to share across threads.
+
+``FormalSeries`` multiplication and inversion iterate over the nonzero stored
+coefficients only, so sparse series such as (q;q)_infinity cost in proportion
+to their nonzero terms, not their length.
 """
 from __future__ import annotations
 
@@ -301,43 +305,57 @@ class FormalSeries:
         cs = [c for i, c in enumerate(self.coeffs) if self.low + i <= order]
         return FormalSeries(self.low, cs, order)
 
+    def _nonzero(self) -> list[tuple[int, Coeff]]:
+        """(index into coeffs, coefficient) for the nonzero stored coefficients."""
+        return [(i, c) for i, c in enumerate(self.coeffs) if c != 0]
+
     def __mul__(self, other: "FormalSeries") -> "FormalSeries":
+        """Product to the order both factors determine.
+
+        Only nonzero coefficients are visited: the factor with fewer of them is
+        the outer loop, and both loops stop at the truncation bound.
+        """
         t = min(self.trunc + other._low_eff(), other.trunc + self._low_eff())
         if not self.coeffs or not other.coeffs:
             return FormalSeries.zero(t)
         lo = self.low + other.low
         if t < lo:
             return FormalSeries.zero(t)
-        out = [0] * (t - lo + 1)
-        bc = other.coeffs
-        blow = other.low
-        for i, ca in enumerate(self.coeffs):
-            if ca == 0:
-                continue
-            ea = self.low + i
-            jmax = min(len(bc) - 1, t - ea - blow)
-            for j in range(jmax + 1):
-                cb = bc[j]
-                if cb != 0:
-                    out[ea + blow + j - lo] += ca * cb
+        top = t - lo
+        outer, inner = self._nonzero(), other._nonzero()
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
+        out = [0] * (top + 1)
+        for i, ca in outer:
+            if i > top:
+                break
+            jmax = top - i
+            for j, cb in inner:
+                if j > jmax:
+                    break
+                out[i + j] += ca * cb
         return FormalSeries(lo, out, t)
 
     def invert(self) -> "FormalSeries":
-        """Multiplicative inverse; requires a nonzero lowest stored coefficient."""
+        """Multiplicative inverse; requires a nonzero lowest stored coefficient.
+
+        Each new coefficient is a sum over the nonzero coefficients of self only,
+        so inverting (q;q)_infinity costs O(order^1.5), not O(order^2).
+        """
         if not self.coeffs:
             raise InvertAtZero("cannot invert a series with zero leading coefficient")
         a0 = self.coeffs[0]
         la = self.low
         n_rel = self.trunc - la  # known relative orders 0..n_rel
         unit = isinstance(a0, int) and abs(a0) == 1
+        nz = self._nonzero()[1:]
         out: list[Coeff] = [a0 if unit else Fraction(1) / a0]
         for t in range(1, n_rel + 1):
             acc = 0
-            imax = min(t, len(self.coeffs) - 1)
-            for i in range(1, imax + 1):
-                ai = self.coeffs[i]
-                if ai != 0:
-                    acc += ai * out[t - i]
+            for i, ai in nz:
+                if i > t:
+                    break
+                acc += ai * out[t - i]
             if acc == 0:
                 out.append(0)
             elif unit:

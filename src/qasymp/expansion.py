@@ -15,7 +15,8 @@ import mpmath as mp
 
 from .errors import DivisionByZeroBeta, InvalidK, ReconstructionFailed
 from .exactcore import ZPolynomial, bernoulli_number, bernoulli_polynomial, rational_to_str
-from .hires import EvalConfig, _round_to, frac_to_mpf, gamma_q_num, mpf_to_fraction
+from .hires import (EvalConfig, _bounded_put, _round_to, frac_to_mpf, gamma_q_num,
+                    mpf_to_fraction)
 from .wright import b_k_coeff
 
 
@@ -116,8 +117,36 @@ def hq_bivariate(k: int, j_max: int) -> BivariateExpansion:
 # beta coefficients and the expansion itself
 # ---------------------------------------------------------------------------
 
-_BETA_CACHE: dict = {}
+_BETA_CACHE: dict = {}  # (k, j, precision) -> beta_k(j), the newest _BETA_CACHE_SIZE kept
+_BETA_CACHE_SIZE = 256
 _BETA_LOCK = threading.Lock()
+_BETA_GUARD = 64
+
+
+def _beta_sum(k: int, j: int, biv: BivariateExpansion, bits: int):
+    """The beta_k(j) sum at the given working precision, and the largest
+    magnitude among its terms: the first one and each b_k(l) a_{n,r} (...)."""
+    sub = EvalConfig(bits)
+    with mp.workprec(bits):
+        tot = b_k_coeff(k, j, sub) * mp.power(k + 1, -j) \
+            * mp.power(k, frac_to_mpf(Fraction(j * (k + 1), k)))
+        big = abs(tot)
+        for r in range(1, (j - 1) // k + 1):
+            ell = j - k * r
+            b = b_k_coeff(k, ell, sub)
+            if b == 0:
+                continue
+            inner = mp.mpf(0)
+            for n in range(1, 2 * r + 1):
+                a = biv.a(n, r)
+                if a == 0:
+                    continue
+                t = frac_to_mpf(a) * mp.power(-ell, n) * mp.power(k + 1, n - ell) \
+                    * mp.power(k, frac_to_mpf(Fraction(ell * (k + 1), k) - n))
+                inner += t
+                big = max(big, abs(b * t))
+            tot += b * inner
+    return tot, big
 
 
 def beta_coeff(k: int, j: int, cfg: EvalConfig):
@@ -125,7 +154,12 @@ def beta_coeff(k: int, j: int, cfg: EvalConfig):
     + sum_{kr+l=j, r>=1, l>=1} b_k(l) sum_{n=1}^{2r} a_{n,r} (-l)^n (k+1)^{n-l} k^{l(k+1)/k - n}.
 
     Exactly zero when k | j: the first term's sine vanishes and every
-    decomposition has l = j - kr = 0 (mod k), killing all b_k(l)."""
+    decomposition has l = j - kr = 0 (mod k), killing all b_k(l).
+
+    The sum runs with _BETA_GUARD guard bits. When its measured cancellation,
+    log2(largest term / |sum|), comes within 16 bits of the guard, it runs once
+    more with the cancellation plus _BETA_GUARD guard bits (the retry that
+    mpmath's hypercomb makes)."""
     if k < 2:
         raise InvalidK(f"k must be >= 2, got {k}")
     if j < 1:
@@ -137,29 +171,15 @@ def beta_coeff(k: int, j: int, cfg: EvalConfig):
         hit = _BETA_CACHE.get(key)
     if hit is not None:
         return hit
-    r_max = (j - 1) // k
-    biv = hq_bivariate(k, max(r_max, 1))
-    guard = 64
-    sub = EvalConfig(cfg.precision_bits + guard)
-    with mp.workprec(cfg.precision_bits + guard):
-        tot = b_k_coeff(k, j, sub) * mp.power(k + 1, -j) \
-            * mp.power(k, frac_to_mpf(Fraction(j * (k + 1), k)))
-        for r in range(1, r_max + 1):
-            ell = j - k * r
-            b = b_k_coeff(k, ell, sub)
-            if b == 0:
-                continue
-            inner = mp.mpf(0)
-            for n in range(1, 2 * r + 1):
-                a = biv.a(n, r)
-                if a == 0:
-                    continue
-                inner += frac_to_mpf(a) * mp.power(-ell, n) * mp.power(k + 1, n - ell) \
-                    * mp.power(k, frac_to_mpf(Fraction(ell * (k + 1), k) - n))
-            tot += b * inner
-        val = _round_to(tot, cfg)
-    with _BETA_LOCK:
-        _BETA_CACHE.setdefault(key, val)
+    biv = hq_bivariate(k, max((j - 1) // k, 1))
+    guard = _BETA_GUARD
+    tot, big = _beta_sum(k, j, biv, cfg.precision_bits + guard)
+    cancel = float(mp.log(big / abs(tot), 2)) if tot else float(cfg.precision_bits + guard)
+    if cancel > guard - 16:
+        guard = int(cancel) + _BETA_GUARD
+        tot, big = _beta_sum(k, j, biv, cfg.precision_bits + guard)
+    val = _round_to(tot, cfg)
+    _bounded_put(_BETA_CACHE, _BETA_LOCK, key, val, _BETA_CACHE_SIZE)
     return val
 
 

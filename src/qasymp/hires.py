@@ -8,7 +8,8 @@ by no more than the final rounding, which is the package's precision contract.
 
 All functions are pure. The shared state is two caches, each guarded by its
 lock: (q;q)_infinity values keyed by (s, precision), bounded by evicting the
-oldest entry, and the exact g_k series per k (_GK_SERIES_CACHE).
+oldest entry (_bounded_put, which expansion's beta cache uses too), and the
+exact g_k series per k (_GK_SERIES_CACHE).
 """
 from __future__ import annotations
 
@@ -92,6 +93,15 @@ def _round_to(x, cfg: EvalConfig):
 # infinite products
 # ---------------------------------------------------------------------------
 
+def _bounded_put(cache: dict, lock: threading.Lock, key, val, size: int) -> None:
+    """Store val under key (a value already there stays), then evict the oldest
+    entries until at most size remain; all under the cache's lock."""
+    with lock:
+        cache.setdefault(key, val)
+        while len(cache) > size:
+            del cache[next(iter(cache))]
+
+
 _QQ_CACHE: dict = {}
 _QQ_CACHE_SIZE = 256
 _QQ_LOCK = threading.Lock()
@@ -138,10 +148,7 @@ def _qq_inf_core(s, use_transform=None):
             * _poch_inf_exps_core(1, 1, 4 * mp.pi ** 2 / s)
     else:
         val = _poch_inf_exps_core(1, 1, s)
-    with _QQ_LOCK:
-        _QQ_CACHE.setdefault(key, val)
-        while len(_QQ_CACHE) > _QQ_CACHE_SIZE:
-            del _QQ_CACHE[next(iter(_QQ_CACHE))]
+    _bounded_put(_QQ_CACHE, _QQ_LOCK, key, val, _QQ_CACHE_SIZE)
     return val
 
 

@@ -5,10 +5,17 @@ Euler's identities and the third-order mock theta function chi.
 Everything returns a FormalSeries with exact integer/rational coefficients; the
 truncation metadata guarantees no coefficient below the requested order is lost,
 even though several building blocks are genuine Laurent series.
+
+Products of binomials turn every factor with a negative exponent around,
+(1 + eps q^e) = eps q^e (1 + eps q^{-e}), and multiply the remaining
+positive-exponent binomials in one dense integer list; chi is summed in nested
+form, and the DP oracle starts each row at its first possibly nonzero exponent.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
+from operator import add, sub
 
 from .errors import InvalidK
 from .exactcore import FormalSeries
@@ -18,58 +25,40 @@ from .exactcore import FormalSeries
 # products of binomials (1 + eps * q^e)
 # ---------------------------------------------------------------------------
 
-def _mul_binomial(cur: dict[int, int], eps: int, e: int, cap: int) -> dict[int, int]:
-    """cur * (1 + eps*q^e), keeping exponents <= cap only."""
-    new: dict[int, int] = {}
-    for x, c in cur.items():
-        if x <= cap:
-            v = new.get(x, 0) + c
-            if v:
-                new[x] = v
-            elif x in new:
-                del new[x]
-        xe = x + e
-        if xe <= cap:
-            v = new.get(xe, 0) + eps * c
-            if v:
-                new[xe] = v
-            elif xe in new:
-                del new[xe]
-    return new
-
-
 def _binomial_product(factors, order: int) -> FormalSeries:
-    """Exact truncated product of (1 + eps*q^e) factors; exponents may be negative.
+    """Exact truncated product of (1 + eps*q^e) factors, eps = +-1; e may be negative.
 
-    Negative-exponent factors are multiplied first; while any remain pending, the
-    working window keeps exponents up to order - (sum of pending negative
-    exponents), which is exactly what later factors can still pull back below
-    the target order.
+    A factor with e < 0 is rewritten as (1 + eps*q^e) = eps*q^e*(1 + eps*q^{-e}),
+    so the product is a constant times q^shift (shift = sum of the negative
+    exponents) times binomials with positive exponents only. Those are multiplied
+    in one dense list of the coefficients of q^0..q^{order-shift}, one slice
+    update per factor; a factor (1 - q^0) makes the whole product zero.
     """
     const = 1
-    neg = []
-    pos = []
+    shift = 0
+    exps = []
     for eps, e in factors:
         if e == 0:
             const *= 1 + eps
             if const == 0:
                 return FormalSeries.zero(order)
-        elif e < 0:
-            neg.append((eps, e))
-        else:
-            pos.append((eps, e))
-    neg.sort(key=lambda t: t[1])
-    s_neg = sum(e for _, e in neg)
-    pos = sorted((f for f in pos if f[1] <= order - s_neg), key=lambda t: t[1])
-
-    cur: dict[int, int] = {0: const}
-    pending = s_neg
-    for eps, e in neg:
-        pending -= e
-        cur = _mul_binomial(cur, eps, e, order - pending)
-    for eps, e in pos:
-        cur = _mul_binomial(cur, eps, e, order)
-    return FormalSeries.from_terms(cur, order)
+            continue
+        if e < 0:
+            const *= eps
+            shift += e
+            e = -e
+        exps.append((eps, e))
+    width = order - shift
+    if width < 0:
+        if shift:  # every term lies above the order
+            return FormalSeries.zero(order)
+        width = 0  # the constant at q^0 alone, which FormalSeries refuses below order 0
+    n = width + 1
+    c = [const] + [0] * width
+    for eps, e in exps:
+        if e < n:
+            c[e:] = map(add if eps > 0 else sub, c[e:], c[: n - e])
+    return FormalSeries(shift, c, order)
 
 
 @dataclass(frozen=True)
@@ -276,6 +265,9 @@ def Gk_series_oracle(k: int, order: int) -> FormalSeries:
 
     Dynamic programming over part sizes 1..order; the state is the run length
     of consecutively used sizes (0..k-1). Independent of the theta-sum formula.
+    After size s, row r counts partitions that use s, s-1, ..., s-r+1, so its
+    lowest possible exponent is that of row r-1 after size s-1, plus s:
+    low[r] = low[r-1] + s. The loops start there and skip the known zeros.
     """
     if k < 2:
         raise InvalidK(f"k must be >= 2, got {k}")
@@ -284,24 +276,21 @@ def Gk_series_oracle(k: int, order: int) -> FormalSeries:
     n = order
     f = [[0] * (n + 1) for _ in range(k)]
     f[0][0] = 1
+    low = [0] + [n + 1] * (k - 1)
     for size in range(1, n + 1):
-        tot = [0] * (n + 1)
-        for r in range(k):
-            row = f[r]
-            for x in range(n + 1):
-                tot[x] += row[x]
+        tot = f[0][:]
+        for r in range(1, k):
+            tot[low[r]:] = map(add, tot[low[r]:], f[r][low[r]:])
+        low = [0] + [min(lo + size, n + 1) for lo in low[:-1]]
         new = [tot]
         for r in range(1, k):
             prev = f[r - 1]
             h = [0] * (n + 1)
-            for x in range(size, n + 1):
+            for x in range(low[r], n + 1):
                 h[x] = prev[x - size] + h[x - size]
             new.append(h)
         f = new
-    out = [0] * (n + 1)
-    for r in range(k):
-        for x in range(n + 1):
-            out[x] += f[r][x]
+    out = [sum(col) for col in zip(*f)]
     return FormalSeries(0, out, order)
 
 
@@ -316,28 +305,23 @@ def gk_from_oracle(k: int, order: int) -> FormalSeries:
 
 def chi_series(order: int) -> FormalSeries:
     """Ramanujan's third-order mock theta function
-    chi(q) = 1 + sum_{n>=1} q^{n^2} / prod_{j<=n} (1 - q^j + q^{2j})."""
+    chi(q) = 1 + sum_{n>=1} q^{n^2} / prod_{j<=n} (1 - q^j + q^{2j}).
+
+    Evaluated in nested form, innermost first: S_N = 1 for the largest N with
+    N^2 <= order, S_{n-1} = 1 + q^{2n-1} S_n / (1 - q^n + q^{2n}), chi = S_0.
+    S_n is needed only to order - n^2, and each division is the three-term
+    recurrence y[x] = s[x] + y[x-n] - y[x-2n].
+    """
     if order < 0:
         raise ValueError("order must be >= 0")
-    total = FormalSeries.one(order)
-    den = [0] * (order + 1)
-    den[0] = 1
-    n = 1
-    while n * n <= order:
-        new = [0] * (order + 1)
-        for x in range(order + 1):
-            c = den[x]
-            if c:
-                new[x] += c
-                if x + n <= order:
-                    new[x + n] -= c
-                if x + 2 * n <= order:
-                    new[x + 2 * n] += c
-        den = new
-        term = FormalSeries(0, den, order).invert().shift(n * n)
-        total = total + term
-        n += 1
-    return total
+    n = isqrt(order)
+    s = [1] + [0] * (order - n * n)
+    while n:
+        for x in range(n, len(s)):
+            s[x] += s[x - n] - (s[x - 2 * n] if x >= 2 * n else 0)
+        s = [1] + [0] * (2 * n - 2) + s
+        n -= 1
+    return FormalSeries(0, s, order)
 
 
 def g2_product_side(order: int) -> FormalSeries:

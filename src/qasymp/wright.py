@@ -130,14 +130,35 @@ def _rgamma_stream(rho: Fraction, beta: Fraction):
         yield val
 
 
-def _phi_cancel_bits(rho: Fraction, zabs: float) -> int:
-    """Guard bits for direct summation: the max term is about
-    exp((1-rho) rho^{rho/(1-rho)} |z|^{1/(1-rho)}) times the real part."""
+def _phi_log_peak(rho: Fraction, zabs: float) -> float:
+    """Natural log of the largest term of the phi series,
+    about (1-rho) |rho|^{rho/(1-rho)} |z|^{1/(1-rho)}."""
     r = float(rho)
+    return (1 - r) * (abs(r) ** (r / (1 - r))) * zabs ** (1.0 / (1 - r))
+
+
+def _phi_cancel_bits(rho: Fraction, zabs: float) -> int:
+    """Guard bits for direct summation: the max term is about exp(peak)
+    (_phi_log_peak) times the real part.
+
+    For rho <= 0, phi is an entire function of order 1/(1+|rho|) that grows like
+    exp(peak) along one direction and can be as small as exp(-peak) along
+    another (e^z/Gamma(beta) at rho = 0), so the guard covers twice the peak."""
     if zabs <= 1:
         return 16
-    peak = (1 - r) * (r ** (r / (1 - r))) * zabs ** (1.0 / (1 - r))
+    peak = _phi_log_peak(rho, zabs)
+    if rho <= 0:
+        peak *= 2
     return int(peak * 1.4427) + 16
+
+
+def _phi_peak_index(rho: Fraction, zabs: float) -> float:
+    """Roughly the index of the largest term of the phi series."""
+    if rho > 0:
+        return (float(rho) * float(zabs)) ** (1.0 / (1 - float(rho)))
+    # |z|^n/(n! Gamma(beta + |rho| n)) peaks where n^{1+|rho|} |rho|^{|rho|} = |z|
+    r = float(rho)
+    return (float(zabs) / (-r) ** (-r)) ** (1.0 / (1 - r))
 
 
 def _phi_series_core(params: WrightParams, z, j: int, cfg: EvalConfig):
@@ -145,9 +166,13 @@ def _phi_series_core(params: WrightParams, z, j: int, cfg: EvalConfig):
     rho, beta = params.rho, params.beta
     zc = mp.mpc(z) if isinstance(z, (complex, mp.mpc)) else mp.mpf(z)
     zabs = abs(zc)
-    n_peak = (float(rho) * float(zabs)) ** (1.0 / (1 - float(rho)))
+    n_peak = _phi_peak_index(rho, zabs)
     n_cap = min(cfg.max_terms,
                 int(4 * n_peak + 0.8 * mp.mp.prec / (1 - float(rho)) + 256))
+    cut = cfg.threshold
+    if rho <= 0:
+        # the sum may be as small as exp(-peak): cut the tail relative to that
+        cut = cut * mp.exp(-_phi_log_peak(rho, float(zabs)))
     tot = mp.mpc(0) if isinstance(zc, mp.mpc) else mp.mpf(0)
     power = mp.mpf(1)
     maxmag = mp.mpf(0)
@@ -172,7 +197,7 @@ def _phi_series_core(params: WrightParams, z, j: int, cfg: EvalConfig):
         # absolute tail cut: on the oscillatory rays both the largest term and
         # the accumulated sum peak exponentially above the O(1) real part, so
         # any magnitude-relative cut would abandon the tail too early
-        if n > 8 and at < cfg.threshold:
+        if n > 8 and at < cut:
             small += 1
             if small >= 10:
                 return tot, maxmag

@@ -1,0 +1,95 @@
+"""Guard bits sized from the size of the terms: Wright's phi for rho <= 0 and the
+beta_k(j) sum; and the bound on the beta cache."""
+import threading
+from fractions import Fraction as F
+
+import mpmath as mp
+import pytest
+
+from conftest import close_bits
+from qasymp import expansion, hires
+from qasymp.hires import EvalConfig
+from qasymp.wright import WrightParams, wright_phi, wright_phi_moment
+
+
+def _rel_within(got, want, bits):
+    with mp.workprec(bits + 128):
+        return close_bits(got, want, bits, scale=abs(mp.mpmathify(want)))
+
+
+class TestWrightNonpositiveRho:
+    @pytest.mark.parametrize("p", [64, 128, 256])
+    @pytest.mark.parametrize("z", [-200, 3, mp.mpc(1, 2)], ids=["-200", "3", "1+2i"])
+    @pytest.mark.parametrize("beta", [F(1), F(1, 2)])
+    def test_rho_zero_is_exp(self, p, z, beta):
+        # phi(0, beta; z) = e^z / Gamma(beta), as small as e^-200 at z = -200
+        got = wright_phi(WrightParams(0, beta), z, EvalConfig(p))
+        with mp.workprec(p + 400):
+            want = mp.exp(mp.mpmathify(z)) * mp.rgamma(mp.mpf(beta.numerator) / beta.denominator)
+        assert _rel_within(got, want, p - 8)
+
+    def test_rho_zero_moment(self):
+        # phi_1(0, 1; z) = sum n z^n/n! = z e^z
+        got = wright_phi_moment(1, WrightParams(0), -60, EvalConfig(128))
+        with mp.workprec(512):
+            assert _rel_within(got, -60 * mp.exp(-60), 120)
+
+    @pytest.mark.parametrize("z", [3, -3, mp.mpc(1, 2), -20, 40],
+                             ids=["3", "-3", "1+2i", "-20", "40"])
+    @pytest.mark.parametrize("beta", [F(1), F(1, 2), F(-2)])
+    def test_rho_minus_half_per_term_sum(self, z, beta):
+        # sum z^n / (n! Gamma(beta + n/2)); Gamma has poles at n = 0, 2, 4 for beta = -2
+        p = 192
+        got = wright_phi(WrightParams(F(-1, 2), beta), z, EvalConfig(p))
+        with mp.workprec(p + 256):
+            zz = mp.mpmathify(z)
+            b = mp.mpf(beta.numerator) / beta.denominator
+            want = mp.nsum(lambda n: zz ** n * mp.rgamma(n + 1) * mp.rgamma(b + n / 2),
+                           [0, mp.inf])
+        assert _rel_within(got, want, p - 8)
+
+
+class TestBetaGuard:
+    @pytest.mark.parametrize("j", [25, 40, 55, 64])
+    def test_relative_error_against_1536_bits(self, j):
+        # the sum cancels 43 bits at j = 25 and 112 bits at j = 64
+        got = expansion.beta_coeff(3, j, EvalConfig(256))
+        want = expansion.beta_coeff(3, j, EvalConfig(1536))
+        assert _rel_within(got, want, 256 - 8)
+
+    def test_k2_beyond_the_fixed_guard(self):
+        got = expansion.beta_coeff(2, 63, EvalConfig(128))  # cancels 168 bits
+        want = expansion.beta_coeff(2, 63, EvalConfig(768))
+        assert _rel_within(got, want, 128 - 8)
+
+
+class TestBoundedCaches:
+    def test_beta_cache_keeps_the_newest(self):
+        expansion._BETA_CACHE.clear()
+        try:
+            for p in range(64, 64 + expansion._BETA_CACHE_SIZE + 30):
+                newest = expansion.beta_coeff(2, 1, EvalConfig(p))
+            assert len(expansion._BETA_CACHE) == expansion._BETA_CACHE_SIZE
+            assert (2, 1, 64) not in expansion._BETA_CACHE
+            assert list(expansion._BETA_CACHE.values())[-1] is newest
+        finally:
+            expansion._BETA_CACHE.clear()
+
+    def test_bounded_put_from_threads(self):
+        cache, lock = {}, threading.Lock()
+
+        def fill(base):
+            for i in range(500):
+                hires._bounded_put(cache, lock, (base, i), i, 64)
+
+        threads = [threading.Thread(target=fill, args=(b,)) for b in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(cache) == 64
+
+    def test_existing_value_stays(self):
+        cache, lock = {"a": 1}, threading.Lock()
+        hires._bounded_put(cache, lock, "a", 2, 4)
+        assert cache == {"a": 1}
