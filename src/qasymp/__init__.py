@@ -17,7 +17,7 @@ from .hires import (EvalConfig, I_n_num, format_real, gamma_q_num, gk_num,
                     theta_num)
 from .wright import (W0_expansion, W_j_num, Wj_expansion, WrightParams, b_k_coeff,
                      re_phi_expansion, wright_phi, wright_phi_moment)
-from .expansion import (BivariateExpansion, PuiseuxExpansion, beta_coeff,
+from .expansion import (BivariateExpansion, PuiseuxExpansion, beta_coeff, beta_rational,
                         build_puiseux, expansion_eval, f2j_polynomial, hq_bivariate,
                         hq_num, rational_ratio, zagier_c1, zagier_c2, zagier_t_coeffs)
 

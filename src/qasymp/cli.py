@@ -78,16 +78,6 @@ def _parse_s_grid(text: str) -> tuple:
     return vals
 
 
-def _s_to_mpf(value: Fraction, prec: int):
-    with mp.workprec(prec):
-        return mp.mpf(value.numerator) / value.denominator
-
-
-def _real_str(x, prec: int) -> str:
-    with mp.workprec(prec + 8):
-        return mp.nstr(mp.mpf(x), max(1, int(prec * 0.30103)))
-
-
 def _emit(rows, header, cfg: RunConfig) -> str:
     if cfg.fmt == "json":
         payload = [dict(zip(header, row)) for row in rows]
@@ -134,16 +124,15 @@ def cmd_verify(cfg: RunConfig) -> int:
     rows = []
     deviations = []
     for sf in cfg.s_grid:
-        s = _s_to_mpf(sf, cfg.precision_bits + 32)
+        with mp.workprec(cfg.precision_bits + 32):
+            s = hires.frac_to_mpf(sf)
         g, r = hires.gk_and_relative_error_num(cfg.k, s, ec)
         e = expansion.expansion_eval(cfg.k, cfg.n_order, s, ec)
         with mp.workprec(cfg.precision_bits + 32):
             dev = abs(g - e) / abs(g)
             w0 = wright.W_j_num(cfg.k, 0, _w_of_s(cfg.k, s), ec)
         deviations.append(dev)
-        p = cfg.precision_bits
-        rows.append((str(sf), _real_str(g, p), _real_str(e, p),
-                     _real_str(dev, p), _real_str(r, p), _real_str(w0, p)))
+        rows.append((str(sf), *(hires.format_real(x, ec) for x in (g, e, dev, r, w0))))
     _write(_emit(rows, ("s", "g_k", "expansion", "rel_dev", "R_k", "W0"), cfg), cfg)
     monotone = all(deviations[i + 1] < deviations[i] for i in range(len(deviations) - 1))
     return EXIT_OK if monotone else EXIT_CHECK_FAILED
@@ -155,8 +144,8 @@ def cmd_zagier(cfg: RunConfig) -> int:
     c1 = expansion.zagier_c1(ec)
     c2 = expansion.zagier_c2(ec)
     lines = [
-        f"c1 = {_real_str(c1, cfg.precision_bits)}  [3^(-1/6) Gamma(1/3) / (8 pi)]",
-        f"c2 = {_real_str(c2, cfg.precision_bits)}  [3^(1/6) Gamma(2/3) / (32 pi)]",
+        f"c1 = {hires.format_real(c1, ec)}  [3^(-1/6) Gamma(1/3) / (8 pi)]",
+        f"c2 = {hires.format_real(c2, ec)}  [3^(1/6) Gamma(2/3) / (32 pi)]",
     ]
     rows = []
     for name, got, ref in (("t1", t1, ZAGIER_T1), ("t2", t2, ZAGIER_T2)):
@@ -179,8 +168,8 @@ def cmd_beta(cfg: RunConfig) -> int:
         ratio = ""
         base = j % cfg.k
         if j > cfg.k and base != 0:
-            ratio = str(expansion.rational_ratio(cfg.k, base, (j - base) // cfg.k, ec))
-        rows.append((j, _real_str(b, cfg.precision_bits), ratio))
+            ratio = str(expansion.beta_rational(cfg.k, j) / expansion.beta_rational(cfg.k, base))
+        rows.append((j, hires.format_real(b, ec), ratio))
     _write(_emit(rows, ("j", "beta", "ratio_to_base"), cfg), cfg)
     return EXIT_OK
 
@@ -189,17 +178,18 @@ def cmd_wright(cfg: RunConfig) -> int:
     ec = cfg.eval_config
     rows = []
     for sf in cfg.s_grid:
-        w = _s_to_mpf(sf, cfg.precision_bits + 32)
+        with mp.workprec(cfg.precision_bits + 32):
+            w = hires.frac_to_mpf(sf)
         if cfg.which == "phi":
             rho = Fraction(cfg.k, cfg.k + 1)
             with mp.workprec(cfg.precision_bits + 32):
                 z = w * mp.expjpi(hires.frac_to_mpf(rho))
             val = wright.wright_phi(wright.WrightParams(rho), z, ec)
-            rows.append((str(sf), _real_str(mp.re(val), cfg.precision_bits),
-                         _real_str(mp.im(val), cfg.precision_bits)))
+            rows.append((str(sf), hires.format_real(mp.re(val), ec),
+                         hires.format_real(mp.im(val), ec)))
         else:
             val = wright.W_j_num(cfg.k, cfg.n_order, w, ec)
-            rows.append((str(sf), _real_str(val, cfg.precision_bits)))
+            rows.append((str(sf), hires.format_real(val, ec)))
     header = ("w", "re_phi", "im_phi") if cfg.which == "phi" else ("w", "W_j")
     _write(_emit(rows, header, cfg), cfg)
     return EXIT_OK
@@ -209,7 +199,8 @@ def cmd_plotdata(cfg: RunConfig) -> int:
     ec = cfg.eval_config
     rows = []
     for sf in cfg.s_grid:
-        s = _s_to_mpf(sf, cfg.precision_bits + 32)
+        with mp.workprec(cfg.precision_bits + 32):
+            s = hires.frac_to_mpf(sf)
         g = hires.gk_num(cfg.k, s, ec)
         e = expansion.expansion_eval(cfg.k, cfg.n_order, s, ec)
         with mp.workprec(cfg.precision_bits + 32):

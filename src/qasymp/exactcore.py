@@ -14,6 +14,7 @@ import json
 import threading
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Iterable, Sequence, Union
 
 from .errors import ExpWithConstantTerm, InvertAtZero, SeriesTruncationError
@@ -273,14 +274,16 @@ class FormalSeries:
 
     def __add__(self, other: "FormalSeries") -> "FormalSeries":
         t = min(self.trunc, other.trunc)
-        terms: dict[int, Coeff] = {}
-        for e, c in self.items():
-            if e <= t:
-                terms[e] = terms.get(e, 0) + c
-        for e, c in other.items():
-            if e <= t:
-                terms[e] = terms.get(e, 0) + c
-        return FormalSeries.from_terms(terms, t)
+        parts = [(x.low, x.coeffs[: t - x.low + 1]) for x in (self, other)
+                 if x.coeffs and x.low <= t]
+        if not parts:
+            return FormalSeries.zero(t)
+        lo = min(low for low, _ in parts)
+        c = [0] * (max(low + len(cs) for low, cs in parts) - lo)
+        for low, cs in parts:
+            i = low - lo
+            c[i: i + len(cs)] = map(add, c[i: i + len(cs)], cs)
+        return FormalSeries(lo, c, t)
 
     def __neg__(self) -> "FormalSeries":
         return FormalSeries(self.low, [-c for c in self.coeffs], self.trunc)

@@ -1,7 +1,11 @@
 """The Puiseux-expansion pipeline: exact bivariate coefficients a_{n,j} of h_q(z),
 the coefficients beta_k(j) of the s^{j/k} expansion of the relative error, full
-expansion evaluation, rational reconstruction of coefficient ratios, and the
-recovery of Zagier's k=3 rational series t1, t2.
+expansion evaluation, and Zagier's k=3 rational series t1, t2.
+
+beta_k(j) is one transcendental factor T_k(j mod k) times an exact rational
+R_k(j) (beta_rational), so coefficient ratios within a residue class, t1 and t2
+among them, are exact. rational_ratio reconstructs the same ratios from the
+numeric values by continued fractions, as an independent cross-check.
 """
 from __future__ import annotations
 
@@ -9,7 +13,8 @@ import json
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, prod
 
 import mpmath as mp
 
@@ -17,7 +22,6 @@ from .errors import DivisionByZeroBeta, InvalidK, ReconstructionFailed
 from .exactcore import ZPolynomial, bernoulli_number, bernoulli_polynomial, rational_to_str
 from .hires import (EvalConfig, _bounded_put, _round_to, frac_to_mpf, gamma_q_num,
                     mpf_to_fraction)
-from .wright import b_k_coeff
 
 
 def f2j_polynomial(k: int, j: int) -> ZPolynomial:
@@ -120,65 +124,62 @@ def hq_bivariate(k: int, j_max: int) -> BivariateExpansion:
 _BETA_CACHE: dict = {}  # (k, j, precision) -> beta_k(j), the newest _BETA_CACHE_SIZE kept
 _BETA_CACHE_SIZE = 256
 _BETA_LOCK = threading.Lock()
-_BETA_GUARD = 64
 
 
-def _beta_sum(k: int, j: int, biv: BivariateExpansion, bits: int):
-    """The beta_k(j) sum at the given working precision, and the largest
-    magnitude among its terms: the first one and each b_k(l) a_{n,r} (...)."""
-    sub = EvalConfig(bits)
-    with mp.workprec(bits):
-        tot = b_k_coeff(k, j, sub) * mp.power(k + 1, -j) \
-            * mp.power(k, frac_to_mpf(Fraction(j * (k + 1), k)))
-        big = abs(tot)
-        for r in range(1, (j - 1) // k + 1):
-            ell = j - k * r
-            b = b_k_coeff(k, ell, sub)
-            if b == 0:
-                continue
-            inner = mp.mpf(0)
-            for n in range(1, 2 * r + 1):
-                a = biv.a(n, r)
-                if a == 0:
-                    continue
-                t = frac_to_mpf(a) * mp.power(-ell, n) * mp.power(k + 1, n - ell) \
-                    * mp.power(k, frac_to_mpf(Fraction(ell * (k + 1), k) - n))
-                inner += t
-                big = max(big, abs(b * t))
-            tot += b * inner
-    return tot, big
+@lru_cache(maxsize=1024)
+def beta_rational(k: int, j: int) -> Fraction:
+    """R_k(j) = beta_k(j)/T_k(j mod k), exact.
 
-
-def beta_coeff(k: int, j: int, cfg: EvalConfig):
-    """beta_k(j) = b_k(j)(k+1)^{-j} k^{j(k+1)/k}
-    + sum_{kr+l=j, r>=1, l>=1} b_k(l) sum_{n=1}^{2r} a_{n,r} (-l)^n (k+1)^{n-l} k^{l(k+1)/k - n}.
-
-    Exactly zero when k | j: the first term's sine vanishes and every
-    decomposition has l = j - kr = 0 (mod k), killing all b_k(l).
-
-    The sum runs with _BETA_GUARD guard bits. When its measured cancellation,
-    log2(largest term / |sum|), comes within 16 bits of the guard, it runs once
-    more with the cancellation plus _BETA_GUARD guard bits (the retry that
-    mpmath's hypercomb makes)."""
+    With j0 = j mod k, x0 = j0(k+1)/k and, for r = 0..(j-1)//k, l = j - kr and
+    m = (l - j0)/k:
+        R_k(j) = sum_r (-1)^m (x0)_{m(k+1)} k^{m(k+1)} / (l! (k+1)^l) e_r(-l(k+1)/k),
+    where e_r(z) = sum_n a_{n,r} z^n is row r of hq_bivariate and
+    (x0)_{m(k+1)} k^{m(k+1)} = prod_{i < m(k+1)} (j0(k+1) + ki) is an integer.
+    Zero when k | j."""
     if k < 2:
         raise InvalidK(f"k must be >= 2, got {k}")
     if j < 1:
         raise ValueError("j must be >= 1")
-    if j % k == 0:
+    j0 = j % k
+    if j0 == 0:
+        return Fraction(0)
+    biv = hq_bivariate(k, max((j - 1) // k, 1))
+    tot = Fraction(0)
+    for r in range((j - 1) // k + 1):
+        ell = j - k * r
+        m = (ell - j0) // k
+        poch = prod(range(j0 * (k + 1), j0 * (k + 1) + k * m * (k + 1), k))
+        e_r = ZPolynomial(biv.table[r])(Fraction(-ell * (k + 1), k))
+        tot += (-1) ** m * Fraction(poch, factorial(ell) * (k + 1) ** ell) * e_r
+    return tot
+
+
+def beta_coeff(k: int, j: int, cfg: EvalConfig):
+    """beta_k(j) = T_k(j0) R_k(j), j0 = j mod k, x0 = j0(k+1)/k, with the one
+    transcendental factor T_k(j0) = (k+1)/(k pi) sin(pi j0/k) Gamma(x0) k^{x0}
+    and the exact rational R_k(j) of beta_rational; T and the product are taken
+    at precision_bits + 32 and rounded once.
+
+    This is the sum beta_k(j) = sum_{kr+l=j, r>=0, l>=1} b_k(l)
+    sum_{n=0}^{2r} a_{n,r} (-l)^n (k+1)^{n-l} k^{l(k+1)/k - n}, each b_k(l)
+    k^{l(k+1)/k} being T_k(j0) times a rational. Exactly zero when k | j."""
+    if k < 2:
+        raise InvalidK(f"k must be >= 2, got {k}")
+    if j < 1:
+        raise ValueError("j must be >= 1")
+    j0 = j % k
+    if j0 == 0:
         return mp.mpf(0)
     key = (k, j, cfg.precision_bits)
     with _BETA_LOCK:
         hit = _BETA_CACHE.get(key)
     if hit is not None:
         return hit
-    biv = hq_bivariate(k, max((j - 1) // k, 1))
-    guard = _BETA_GUARD
-    tot, big = _beta_sum(k, j, biv, cfg.precision_bits + guard)
-    cancel = float(mp.log(big / abs(tot), 2)) if tot else float(cfg.precision_bits + guard)
-    if cancel > guard - 16:
-        guard = int(cancel) + _BETA_GUARD
-        tot, big = _beta_sum(k, j, biv, cfg.precision_bits + guard)
-    val = _round_to(tot, cfg)
+    with mp.workprec(cfg.precision_bits + 32):
+        x0 = frac_to_mpf(Fraction(j0 * (k + 1), k))
+        t = mp.mpf(k + 1) / (k * mp.pi) * mp.sinpi(mp.mpf(j0) / k) * mp.gamma(x0) \
+            * mp.power(k, x0)
+        val = _round_to(t * frac_to_mpf(beta_rational(k, j)), cfg)
     _bounded_put(_BETA_CACHE, _BETA_LOCK, key, val, _BETA_CACHE_SIZE)
     return val
 
@@ -290,14 +291,12 @@ def rational_ratio(k: int, j: int, m: int, cfg: EvalConfig) -> Fraction:
 
 def zagier_t_coeffs(m_max: int, cfg: EvalConfig):
     """Coefficient lists of Zagier's t1 and t2 through s^m_max (k = 3):
-    t1[m] = beta_3(1+3m)/beta_3(1), t2[m] = 5 beta_3(2+3m)/beta_3(2)."""
+    t1[m] = beta_3(1+3m)/beta_3(1), t2[m] = 5 beta_3(2+3m)/beta_3(2), taken as
+    exact ratios of beta_rational, so they do not depend on cfg (kept for callers)."""
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    t1 = [Fraction(1)]
-    t2 = [Fraction(5)]
-    for m in range(1, m_max + 1):
-        t1.append(rational_ratio(3, 1, m, cfg))
-        t2.append(5 * rational_ratio(3, 2, m, cfg))
+    t1 = [beta_rational(3, 1 + 3 * m) / beta_rational(3, 1) for m in range(m_max + 1)]
+    t2 = [5 * beta_rational(3, 2 + 3 * m) / beta_rational(3, 2) for m in range(m_max + 1)]
     return t1, t2
 
 

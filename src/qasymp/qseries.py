@@ -32,7 +32,8 @@ def _binomial_product(factors, order: int) -> FormalSeries:
     so the product is a constant times q^shift (shift = sum of the negative
     exponents) times binomials with positive exponents only. Those are multiplied
     in one dense list of the coefficients of q^0..q^{order-shift}, one slice
-    update per factor; a factor (1 - q^0) makes the whole product zero.
+    update per factor. A factor (1 - q^0), or an order below shift, gives the
+    zero series.
     """
     const = 1
     shift = 0
@@ -50,9 +51,7 @@ def _binomial_product(factors, order: int) -> FormalSeries:
         exps.append((eps, e))
     width = order - shift
     if width < 0:
-        if shift:  # every term lies above the order
-            return FormalSeries.zero(order)
-        width = 0  # the constant at q^0 alone, which FormalSeries refuses below order 0
+        return FormalSeries.zero(order)
     n = width + 1
     c = [const] + [0] * width
     for eps, e in exps:

@@ -1,12 +1,15 @@
 """Kernels of the exact layer against plain reference implementations: the dense
-binomial product, nonzero-only series multiply and invert, chi in nested form and
-the DP oracle that skips known zeros; plus frozen digests of the tables the
-exact-tables benchmark computes."""
+binomial product, nonzero-only series multiply and invert, the slice sum of two
+series, chi in nested form and the DP oracle that skips known zeros; plus frozen
+digests of the tables the exact-tables benchmark computes."""
 import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import seed as hypothesis_seed
+from hypothesis import strategies as st
 
 from qasymp.errors import InvertAtZero
 from qasymp.exactcore import FormalSeries
@@ -71,6 +74,17 @@ def dense_invert(a):
     for n in range(1, n_rel + 1):
         out.append(-sum(c[i] * out[n - i] for i in range(1, n + 1)) / c[0])
     return FormalSeries(-la, out, n_rel - la)
+
+
+def dict_add(a, b):
+    """The nonzero terms of both operands up to the common truncation, summed in a dict."""
+    t = min(a.truncation_order, b.truncation_order)
+    terms = {}
+    for x in (a, b):
+        for e, c in x.items():
+            if e <= t:
+                terms[e] = terms.get(e, 0) + c
+    return FormalSeries.from_terms(terms, t)
 
 
 def plain_oracle(k, order):
@@ -139,6 +153,40 @@ class TestBinomialProduct:
                         dict_binomial_product(factors, order), (a, b, order)
                     assert finite_pochhammer_series(a, b, 5, order) == \
                         dict_binomial_product(factors[:5], order)
+
+
+class TestOrdersBelowEveryTerm:
+    def test_zero_when_every_term_lies_above_the_order(self):
+        assert pochhammer_series(1, 1, -1) == FormalSeries.zero(-1)
+        assert finite_pochhammer_series(2, 1, 3, -2) == FormalSeries.zero(-2)
+
+    def test_negative_start_keeps_its_term(self):
+        assert pochhammer_series(-1, 2, -1) == FormalSeries(-1, [-1], -1)
+
+
+@st.composite
+def series_strategy(draw):
+    coeffs = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2, F(1, 3), F(-5, 2)]), max_size=14))
+    low = draw(st.integers(-8, 8))
+    return FormalSeries(low, coeffs, low + len(coeffs) - 1 + draw(st.integers(0, 8)))
+
+
+class TestSeriesAddition:
+    @hypothesis_seed(20261018)
+    @settings(max_examples=400, deadline=None)
+    @given(series_strategy(), series_strategy())
+    def test_matches_dict_sum(self, a, b):
+        for x, y in ((a, b), (b, a), (a, -a)):
+            got, want = x + y, dict_add(x, y)
+            assert got == want
+            assert [type(c) for _, c in got.items()] == [type(c) for _, c in want.items()]
+
+    def test_zero_and_disjoint_operands(self):
+        a = FormalSeries(-3, [1, 0, F(1, 2)], 6)
+        far = FormalSeries(8, [5], 9)  # entirely above a's truncation
+        for x, y in ((a, FormalSeries.zero(2)), (FormalSeries.zero(4), FormalSeries.zero(-1)),
+                     (a, far), (far, a)):
+            assert x + y == dict_add(x, y)
 
 
 class TestSeriesArithmetic:
