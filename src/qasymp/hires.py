@@ -6,6 +6,13 @@ known cancellation (tracked per route), and results are rounded back to the
 target precision. Re-running with doubled precision therefore moves a result
 by no more than the final rounding, which is the package's precision contract.
 
+The small-s route (gk_num's insum and I_n_num) runs one m-loop per (k, s): its
+real terms are binned by m mod 2(k+1), and each odd n then costs 2(k+1) phase
+products (_In_bins, _In_from_bins). The seed products' tails of t factors run in
+fixed point (_qprod_fixed) at w = prec + L + 2*bitlen(t+1) + 8 bits, within
+t(t+1) units of 2^-w, a relative error below 2^-(prec+8) (see
+_poch_inf_exps_core).
+
 All functions are pure. The shared state is two caches, each guarded by its
 lock: (q;q)_infinity values keyed by (s, precision), bounded by evicting the
 oldest entry (_bounded_put, which expansion's beta cache uses too), and the
@@ -19,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from . import qseries
 from .errors import InvalidK, NonConvergent, PoleAtNonpositive, TermCapExceeded
@@ -120,13 +128,47 @@ def _qprod(x, r, n, prod=1):
     return prod, x
 
 
+def _qprod_fixed(x, r, n, w):
+    """2^w prod_{j<n} (1 - x r^j) as an integer, for 0 <= x <= 1 and 0 < r < 1.
+
+    The loop runs in fixed point, as mpmath's exponential_series does: with X and R
+    the integers floor(2^w x), floor(2^w r), P -= P*X >> w; X = X*R >> w. Each
+    truncation loses less than one unit, so X_j is off by at most 2j+1 units and
+    the result by at most n(n+1) units.
+    """
+    p, xf, rf = 1 << w, to_fixed(x._mpf_, w), to_fixed(r._mpf_, w)
+    for _ in range(n):
+        p -= p * xf >> w
+        xf = xf * rf >> w
+    return p
+
+
 def _poch_inf_exps_core(start, step, s):
     """prod_{j>=0} (1 - e^{-s(start + j*step)}) for integer start (possibly <= 0),
-    over the factors with s(start + j*step) <= (prec + 8) ln 2."""
+    over the n factors with s(start + j*step) <= (prec + 8) ln 2.
+
+    The head, every factor with x = e^{-s(start + j*step)} >= 1/2 (those with
+    start + j*step <= 0 among them), runs in mpf through _qprod; the tail, its t
+    factors with x < 1/2, through _qprod_fixed at w = prec + L + 2*bitlen(t+1) + 8
+    bits, where L = 1/((1 - r) ln 2) and r = e^{-s*step}. As -ln(1 - x) <= 2x for
+    x <= 1/2, the tail product is at least 2^-L, so its t(t+1) units of truncation
+    are a relative error below 2^-(prec+8). A factor with start + j*step = 0 makes it 0.
+    """
     n = int(mp.floor(((mp.mp.prec + 8) * LN2 / s - start) / step)) + 1
     if n <= 0:
         return mp.mpf(1)
-    return _qprod(mp.exp(-s * start), mp.exp(-s * step), n)[0]
+    if start <= 0 and start % step == 0:
+        return mp.mpf(0)
+    sf = float(s)
+    head = min(n, max(0, int(math.floor((LN2 / sf - start) / step)) + 1))
+    r = mp.exp(-s * step)
+    prod, x = _qprod(mp.exp(-s * start), r, head)
+    if head == n:
+        return prod
+    t = n - head
+    tail_bits = int(1 / (-math.expm1(-sf * step) * LN2)) + 1
+    w = mp.mp.prec + tail_bits + 2 * (t + 1).bit_length() + 8
+    return prod * mp.mpf((_qprod_fixed(x, r, t, w), -w))
 
 
 def _qq_inf_core(s, use_transform=None):
@@ -259,83 +301,100 @@ def theta_num(u, s, cfg: EvalConfig, use_inversion=None):
     Direct bilateral sum, or the modular inversion
     sqrt(pi/s) * sum_{n odd} exp(-pi^2 (n+2u)^2 / (4s)).
     u may be complex (u = i*a*s/(2*pi) gives the argument q^a); inversion is the
-    default for s < 1 where the direct sum converges slowly.
+    default for s < 1 where the direct sum converges slowly. The sum runs with 48
+    guard bits; where its measured cancellation, log2(largest term/|sum|), comes
+    within 16 bits of them (near a zero of theta), it runs once more with the
+    cancellation plus 48 guard bits.
     """
     if not as_float(s) > 0:
         raise NonConvergent("theta_num needs s > 0")
     if use_inversion is None:
         use_inversion = as_float(s) < 1
     complex_u = isinstance(u, (complex, mp.mpc)) and mp.im(u) != 0
-    with mp.workprec(cfg.precision_bits + 48):
-        sv = frac_to_mpf(s)
-        thr = cfg.threshold
-        if use_inversion:
-            uv = mp.mpc(u) if complex_u else frac_to_mpf(u)
-            c = mp.pi ** 2 / (4 * sv)
-            tot = mp.exp(-c * (1 + 2 * uv) ** 2) + mp.exp(-c * (1 - 2 * uv) ** 2)
-            maxmag = abs(tot)
-            small = 0
-            n = 3
-            while n < cfg.max_terms:
-                t = mp.exp(-c * (n + 2 * uv) ** 2) + mp.exp(-c * (n - 2 * uv) ** 2)
-                tot += t
-                maxmag = max(maxmag, abs(t))
-                if abs(t) < thr * max(maxmag, abs(tot)):
-                    small += 1
-                    if small >= 2:
-                        break
-                else:
-                    small = 0
-                n += 2
+    guard = 48
+    for _ in range(2):
+        with mp.workprec(cfg.precision_bits + guard):
+            val, lost = _theta_sum(u, frac_to_mpf(s), cfg, use_inversion, complex_u)
+            val = mp.mpc(val) if complex_u else mp.re(val)
+        if lost <= guard - 16:
+            break
+        guard = lost + 48
+    return _round_to(val, cfg)
+
+
+def _theta_sum(u, sv, cfg, use_inversion, complex_u):
+    """theta_num's sum at the ambient precision; returns (value, cancellation bits)."""
+    thr = cfg.threshold
+    if use_inversion:
+        uv = mp.mpc(u) if complex_u else frac_to_mpf(u)
+        c = mp.pi ** 2 / (4 * sv)
+        tot = mp.exp(-c * (1 + 2 * uv) ** 2) + mp.exp(-c * (1 - 2 * uv) ** 2)
+        maxmag = abs(tot)
+        small = 0
+        n = 3
+        while n < cfg.max_terms:
+            t = mp.exp(-c * (n + 2 * uv) ** 2) + mp.exp(-c * (n - 2 * uv) ** 2)
+            tot += t
+            maxmag = max(maxmag, abs(t))
+            if abs(t) < thr * max(maxmag, abs(tot)):
+                small += 1
+                if small >= 2:
+                    break
             else:
-                raise TermCapExceeded("theta_num inversion exceeded max_terms")
-            val = mp.sqrt(mp.pi / sv) * tot
-        else:
-            if complex_u:
-                uv = mp.mpc(u)
-                z = mp.exp(2j * mp.pi * uv)
-                zi = 1 / z
-                tot = mp.mpc(1)
-                zp, zpi = z, zi
-                maxmag = mp.mpf(1)
                 small = 0
-                n = 1
-                while n < cfg.max_terms:
-                    t = (zp + zpi) * mp.exp(-sv * n * n)
-                    if n % 2:
-                        t = -t
-                    tot += t
-                    maxmag = max(maxmag, abs(t))
-                    if abs(t) < thr * max(maxmag, abs(tot)):
-                        small += 1
-                        if small >= 3:
-                            break
-                    else:
-                        small = 0
-                    zp *= z
-                    zpi *= zi
-                    n += 1
-                else:
-                    raise TermCapExceeded("theta_num direct exceeded max_terms")
-                val = tot
+            n += 2
+        else:
+            raise TermCapExceeded("theta_num inversion exceeded max_terms")
+        return mp.sqrt(mp.pi / sv) * tot, _lost_bits(maxmag, tot)
+    # e = e^{-s n^2} from two running multipliers: e *= d, d *= e^{-2s}
+    e, d, d2 = mp.exp(-sv), mp.exp(-3 * sv), mp.exp(-2 * sv)
+    maxmag = mp.mpf(1)
+    n = 1
+    if complex_u:
+        z = mp.exp(2j * mp.pi * mp.mpc(u))
+        zi = 1 / z
+        tot = mp.mpc(1)
+        zp, zpi = z, zi
+        small = 0
+        while n < cfg.max_terms:
+            t = (zp + zpi) * e
+            if n % 2:
+                t = -t
+            tot += t
+            maxmag = max(maxmag, abs(t))
+            if abs(t) < thr * max(maxmag, abs(tot)):
+                small += 1
+                if small >= 3:
+                    break
             else:
-                uv = frac_to_mpf(u)
-                tot = mp.mpf(1)
-                n = 1
-                while True:
-                    t = 2 * mp.cospi(2 * n * uv) * mp.exp(-sv * n * n)
-                    if n % 2:
-                        t = -t
-                    tot += t
-                    if mp.exp(-sv * n * n) < thr:
-                        break
-                    n += 1
-                    if n > cfg.max_terms:
-                        raise TermCapExceeded("theta_num direct exceeded max_terms")
-                val = tot
-        if complex_u:
-            return _round_to(mp.mpc(val), cfg)
-        return _round_to(mp.re(val) if isinstance(val, mp.mpc) else val, cfg)
+                small = 0
+            zp *= z
+            zpi *= zi
+            e, d = e * d, d * d2
+            n += 1
+        else:
+            raise TermCapExceeded("theta_num direct exceeded max_terms")
+        return tot, _lost_bits(maxmag, tot)
+    uv = frac_to_mpf(u)
+    tot = mp.mpf(1)
+    while True:
+        t = 2 * mp.cospi(2 * n * uv) * e
+        if n % 2:
+            t = -t
+        tot += t
+        maxmag = max(maxmag, abs(t))
+        if e < thr:
+            break
+        e, d = e * d, d * d2
+        n += 1
+        if n > cfg.max_terms:
+            raise TermCapExceeded("theta_num direct exceeded max_terms")
+    return tot, _lost_bits(maxmag, tot)
+
+
+def _lost_bits(maxmag, tot):
+    """About log2(maxmag/|tot|), the bits a sum has cancelled (0 for a zero sum)."""
+    return max(0, mp.mag(maxmag) - mp.mag(tot)) if tot else 0
 
 
 # ---------------------------------------------------------------------------
@@ -372,46 +431,60 @@ def _pm_terms(k, s, seeds, max_terms):
         qneg *= qk_inv
 
 
-def _m_sum(terms, k, thr, cap_message):
-    """Sum terms until more than 2(k+1)+2 in a row fall below thr times the largest
-    magnitude so far; returns (sum, largest magnitude)."""
-    acc, maxmag, small = 0, mp.mpf(0), 0
-    for term in terms:
-        acc += term
+def _m_sum(terms, k, thr, cap_message, period=1):
+    """Sum (m, term) pairs into period bins by m mod period until more than
+    2(k+1)+2 terms in a row fall below thr times the largest magnitude so far;
+    returns (bins, largest magnitude)."""
+    bins, maxmag, small = [0] * period, mp.mpf(0), 0
+    for m, term in terms:
+        bins[m % period] += term
         at = abs(term)
         maxmag = max(maxmag, at)
         if at < thr * maxmag:
             small += 1
             if small > 2 * (k + 1) + 2:
-                return acc, maxmag
+                return bins, maxmag
         else:
             small = 0
     raise TermCapExceeded(cap_message)
 
 
-def _In_core(k, n, s, cfg, seeds):
-    """I_n(s) at ambient precision; returns (value, max term magnitude).
+def _insum_guard(k, sf):
+    """Guard bits of the I_n sums at s = sf: 96 plus log2(e)/(k(k+1)s)."""
+    return int(1.4427 / (k * (k + 1) * sf)) + 96
 
-    The (q^{k+1};q^{k+1})_{-km/(k+1)} denominators are P_m/(q^{k+1};q^{k+1})_inf
-    (see _pm_terms). q^{c_m}, c_m = km(km+k+1)/(2(k+1)), comes from two running
-    multipliers: c_{m+1} - c_m = k(2km+2k+1)/(2(k+1)) grows by k^2/(k+1) per step.
-    The phase has period 2(k+1) in m and is read from a table.
+
+def _In_bins(k, n, s, cfg, seeds):
+    """The I_n m-loop, run once for every odd n; returns (bins, max term magnitude).
+
+    Term m of I_n is e^{i pi m(n+k+1)/(k+1)} times the real
+    q^{c_m} P_m / ((q^k;q^k)_m P_0), and the phase has period 2(k+1) in m, so
+    bins[r] sums the real parts over m = r mod 2(k+1) and _In_from_bins applies
+    the phases for any n. The (q^{k+1};q^{k+1})_{-km/(k+1)} denominators are
+    P_m/(q^{k+1};q^{k+1})_inf (see _pm_terms). q^{c_m}, c_m = km(km+k+1)/(2(k+1)),
+    comes from two running multipliers: c_{m+1} - c_m = k(2km+2k+1)/(2(k+1))
+    grows by k^2/(k+1) per step. n only names the I_n in the max_terms error.
     """
-    phases = [mp.expjpi(frac_to_mpf(Fraction(m * (n + k + 1), k + 1) % 2))
-              for m in range(2 * (k + 1))]
-
     def terms():
         qc = mp.mpf(1)
         dqc = mp.exp(-s * frac_to_mpf(Fraction(k * (2 * k + 1), 2 * (k + 1))))
         ddqc = mp.exp(-s * frac_to_mpf(Fraction(k * k, k + 1)))
         for m, pm, poch_m in _pm_terms(k, s, seeds, cfg.max_terms):
             if pm is not None:
-                yield phases[m % len(phases)] * qc * pm / (poch_m * seeds[0])
+                yield m, qc * pm / (poch_m * seeds[0])
             qc *= dqc
             dqc *= ddqc
 
     return _m_sum(terms(), k, cfg.threshold,
-                  f"I_n loop exceeded max_terms at k={k}, n={n}, s={s}")
+                  f"I_n loop exceeded max_terms at k={k}, n={n}, s={s}", 2 * (k + 1))
+
+
+def _In_from_bins(k, n, bins):
+    """I_n = sum_r e^{i pi r(n+k+1)/(k+1)} bins[r] (see _In_bins)."""
+    acc = 0
+    for r, b in enumerate(bins):
+        acc += mp.expjpi(frac_to_mpf(Fraction(r * (n + k + 1), k + 1) % 2)) * b
+    return acc
 
 
 def I_n_num(k, n, s, cfg: EvalConfig):
@@ -423,11 +496,10 @@ def I_n_num(k, n, s, cfg: EvalConfig):
         raise ValueError("I_n is defined for odd n")
     if not as_float(s) > 0:
         raise NonConvergent("I_n needs s > 0")
-    guard = int(1.4427 / (k * (k + 1) * as_float(s))) + 96
-    with mp.workprec(cfg.precision_bits + guard):
+    with mp.workprec(cfg.precision_bits + _insum_guard(k, as_float(s))):
         sv = frac_to_mpf(s)
-        val, _ = _In_core(k, n, sv, cfg, _pm_seeds(k, sv))
-        return _round_to(val, cfg)
+        bins, _ = _In_bins(k, n, sv, cfg, _pm_seeds(k, sv))
+        return _round_to(_In_from_bins(k, n, bins), cfg)
 
 
 _GK_SERIES_CACHE: dict = {}
@@ -463,20 +535,19 @@ def _gk_insum_core(k, s, cfg):
     """The theta-sum representation with the theta factors inverted and the sums
     regrouped over odd n (the exact odd-n decomposition of the relative error);
     numerically stable for small s because the e^{pi^2/(6(k+1)s)}-scale
-    cancellation of the plain m-sum never appears."""
+    cancellation of the plain m-sum never appears. One m-loop (_In_bins) serves
+    every odd n."""
     c = mp.pi ** 2 / (2 * k * (k + 1) * s)
     tot = mp.mpf(0)
     thr = cfg.threshold
-    imax = mp.mpf(1)
-    seeds = _pm_seeds(k, s)
+    bins, mm = _In_bins(k, 1, s, cfg, _pm_seeds(k, s))
+    imax = max(mp.mpf(1), mm)
     n = 1
     while n < 200:
         w_n = mp.exp(-c * (n * n - 1))
         if n > 1 and w_n * imax * 16 < thr * max(abs(tot), mp.mpf(1)):
             break
-        val, mm = _In_core(k, n, s, cfg, seeds)
-        imax = max(imax, mm)
-        tot += 2 * w_n * mp.re(val)
+        tot += 2 * w_n * mp.re(_In_from_bins(k, n, bins))
         n += 2
     else:
         raise NonConvergent(f"odd-n sum did not converge at k={k}, s={s}")
@@ -488,23 +559,29 @@ def _gk_direct_core(k, s, cfg):
     """Plain theta-sum m-loop with each theta evaluated by its direct bilateral sum;
     kept as the cross-check oracle for the regrouped route (it carries the full
     m-sum cancellation, so the caller must provide matching guard bits)."""
-    t_base = Fraction(k * (k + 1), 2)
-    width = math.sqrt((mp.mp.prec + 16) * LN2 / float(s) / float(t_base)) + 2
+    t_base = k * (k + 1) // 2
+    width = math.sqrt((mp.mp.prec + 16) * LN2 / float(s) / t_base) + 2
+    d_step = mp.exp(-2 * s * t_base)
 
     def terms():
+        # the inner theta's terms e^{-s(k m nu + t nu^2)} come from two running
+        # multipliers: t *= d, d *= e^{-2 s t_base}
         for m, pm, poch_m in _pm_terms(k, s, _pm_seeds(k, s), cfg.max_terms):
             if pm is None:
                 continue
             center = -m / (k + 1)
+            lo, hi = int(math.floor(center - width)), int(math.ceil(center + width))
+            t = mp.exp(-s * (k * m * lo + t_base * lo * lo))
+            d = mp.exp(-s * (k * m + t_base * (2 * lo + 1)))
             th = mp.mpf(0)
-            for nn in range(int(math.floor(center - width)), int(math.ceil(center + width)) + 1):
-                t = mp.exp(-s * (k * m * nn + frac_to_mpf(t_base) * nn * nn))
+            for nn in range(lo, hi + 1):
                 th += -t if nn % 2 else t
+                t, d = t * d, d * d_step
             term = mp.exp(-s * (k * m * (m + 1) // 2)) * pm * th / poch_m
-            yield -term if m % 2 else term
+            yield m, -term if m % 2 else term
 
-    acc, _ = _m_sum(terms(), k, cfg.threshold,
-                    f"direct g_k m-sum exceeded max_terms at k={k}, s={s}")
+    (acc,), _ = _m_sum(terms(), k, cfg.threshold,
+                       f"direct g_k m-sum exceeded max_terms at k={k}, s={s}")
     return acc / _qq_inf_core(k * s)
 
 
@@ -528,8 +605,7 @@ def gk_num(k, s, cfg: EvalConfig, route: str = "auto"):
         with mp.workprec(cfg.precision_bits + guard):
             return _round_to(_gk_series_core(k, frac_to_mpf(s), cfg), cfg)
     if route == "insum":
-        guard = int(1.4427 / (k * (k + 1) * sf)) + 96
-        with mp.workprec(cfg.precision_bits + guard):
+        with mp.workprec(cfg.precision_bits + _insum_guard(k, sf)):
             return _round_to(_gk_insum_core(k, frac_to_mpf(s), cfg), cfg)
     if route == "direct":
         guard = int(1.4427 * math.pi ** 2 / (6 * (k + 1) * sf)
