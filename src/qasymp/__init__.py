@@ -6,10 +6,8 @@ from .errors import (DivisionByZeroBeta, ExpWithConstantTerm, InvalidK, InvalidR
                      InvertAtZero, NonConvergent, PoleAtNonpositive, QAsympError,
                      ReconstructionFailed, SeriesTruncationError, TermCapExceeded)
 from .exactcore import (FormalSeries, Rational, ZPolynomial, bernoulli_number,
-                        bernoulli_polynomial, polynomial_compose_affine,
-                        rational_from_str, rational_to_str, series_arith)
-from .qseries import (Gk_series_oracle, QExponentProduct, chi_series,
-                      euler_identity_check,
+                        bernoulli_polynomial, rational_from_str, rational_to_str)
+from .qseries import (Gk_series_oracle, chi_series, euler_identity_check,
                       g2_product_side, gk_from_oracle, gk_series_andrews,
                       pochhammer_series, theta_product_check, theta_series)
 from .hires import (EvalConfig, I_n_num, format_real, gamma_q_num, gk_num,

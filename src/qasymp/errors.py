@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of k they share."""
 
 
 class QAsympError(Exception):
@@ -19,6 +19,12 @@ class SeriesTruncationError(QAsympError):
 
 class InvalidK(QAsympError):
     """k < 2 passed to an operation defined only for k >= 2."""
+
+
+def check_k(k: int) -> None:
+    """Raise InvalidK unless k >= 2."""
+    if k < 2:
+        raise InvalidK(f"k must be >= 2, got {k}")
 
 
 class InvalidRho(QAsympError):

@@ -156,11 +156,6 @@ class ZPolynomial:
         return "ZPolynomial(" + " + ".join(terms) + ")"
 
 
-def polynomial_compose_affine(p: ZPolynomial, a: Coeff, b: Coeff) -> ZPolynomial:
-    """Return p(a*z + b) exactly."""
-    return p.compose_affine(a, b)
-
-
 # ---------------------------------------------------------------------------
 # Truncated Laurent / power series in q
 # ---------------------------------------------------------------------------
@@ -387,21 +382,6 @@ class FormalSeries:
             out[n] = Fraction(acc, n) if acc != 0 else 0
         return FormalSeries(0, out, t)
 
-    def pow_int(self, n: int) -> "FormalSeries":
-        if n < 0:
-            return self.invert().pow_int(-n)
-        if n == 0:
-            return FormalSeries.one(self.trunc)
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     # -- serialization ------------------------------------------------------
 
     def to_pairs(self) -> list[tuple[int, str]]:
@@ -415,18 +395,3 @@ class FormalSeries:
     def from_pairs(cls, pairs: Iterable[tuple[int, str]], truncation_order: int) -> "FormalSeries":
         terms = {int(e): rational_from_str(s) for e, s in pairs}
         return cls.from_terms(terms, truncation_order)
-
-
-def series_arith(a: FormalSeries, b: FormalSeries | None, op: str) -> FormalSeries:
-    """Dispatch helper: op in {'add', 'mul', 'invert', 'exp'}."""
-    if op == "add":
-        assert b is not None
-        return a + b
-    if op == "mul":
-        assert b is not None
-        return a * b
-    if op == "invert":
-        return a.invert()
-    if op == "exp":
-        return a.exp()
-    raise ValueError(f"unknown series operation {op!r}")

@@ -18,7 +18,7 @@ from math import factorial, prod
 
 import mpmath as mp
 
-from .errors import DivisionByZeroBeta, InvalidK, ReconstructionFailed
+from .errors import DivisionByZeroBeta, ReconstructionFailed, check_k
 from .exactcore import ZPolynomial, bernoulli_number, bernoulli_polynomial, rational_to_str
 from .hires import (EvalConfig, _bounded_put, _round_to, frac_to_mpf, gamma_q_num,
                     mpf_to_fraction)
@@ -27,8 +27,7 @@ from .hires import (EvalConfig, _bounded_put, _round_to, frac_to_mpf, gamma_q_nu
 def f2j_polynomial(k: int, j: int) -> ZPolynomial:
     """f_{2j}(z) = B_{2j} (B_{2j+1}(1+z) k^{2j} + B_{2j+1}(1 - kz/(k+1)) (k+1)^{2j})
     / (2j (2j+1)!); exact, degree 2j+1."""
-    if k < 2:
-        raise InvalidK(f"k must be >= 2, got {k}")
+    check_k(k)
     if j < 1:
         raise ValueError("j must be >= 1")
     bp = bernoulli_polynomial(2 * j + 1)
@@ -76,8 +75,7 @@ def hq_bivariate(k: int, j_max: int) -> BivariateExpansion:
     """Exact a_{n,j} for j <= j_max, from
     h_q(z) = exp(s (k z^2/(4(k+1)) - k z/2) - sum_{j>=1} f_{2j}(z) s^{2j} + ...),
     via the exponential recurrence over polynomials in z."""
-    if k < 2:
-        raise InvalidK(f"k must be >= 2, got {k}")
+    check_k(k)
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     with _BIV_LOCK:
@@ -136,8 +134,7 @@ def beta_rational(k: int, j: int) -> Fraction:
     where e_r(z) = sum_n a_{n,r} z^n is row r of hq_bivariate and
     (x0)_{m(k+1)} k^{m(k+1)} = prod_{i < m(k+1)} (j0(k+1) + ki) is an integer.
     Zero when k | j."""
-    if k < 2:
-        raise InvalidK(f"k must be >= 2, got {k}")
+    check_k(k)
     if j < 1:
         raise ValueError("j must be >= 1")
     j0 = j % k
@@ -163,8 +160,7 @@ def beta_coeff(k: int, j: int, cfg: EvalConfig):
     This is the sum beta_k(j) = sum_{kr+l=j, r>=0, l>=1} b_k(l)
     sum_{n=0}^{2r} a_{n,r} (-l)^n (k+1)^{n-l} k^{l(k+1)/k - n}, each b_k(l)
     k^{l(k+1)/k} being T_k(j0) times a rational. Exactly zero when k | j."""
-    if k < 2:
-        raise InvalidK(f"k must be >= 2, got {k}")
+    check_k(k)
     if j < 1:
         raise ValueError("j must be >= 1")
     j0 = j % k
@@ -216,8 +212,7 @@ class PuiseuxExpansion:
 
 def build_puiseux(k: int, n_order: int, cfg: EvalConfig) -> PuiseuxExpansion:
     """Assemble the expansion object with beta_k(1..k*n_order)."""
-    if k < 2:
-        raise InvalidK(f"k must be >= 2, got {k}")
+    check_k(k)
     if n_order < 0:
         raise ValueError("N must be >= 0")
     betas = tuple(beta_coeff(k, j, cfg) for j in range(1, k * n_order + 1))
@@ -231,8 +226,7 @@ def build_puiseux(k: int, n_order: int, cfg: EvalConfig) -> PuiseuxExpansion:
 def expansion_eval(k: int, n_order: int, s, cfg: EvalConfig):
     """(1/(k+1)) sqrt(2 pi/s) e^{-pi^2/(3k(k+1)s) + s/24}
     ((k+1)/k + sum_{j=1}^{kN} beta_k(j) s^{j/k})."""
-    if k < 2:
-        raise InvalidK(f"k must be >= 2, got {k}")
+    check_k(k)
     if n_order < 0:
         raise ValueError("N must be >= 0")
     with mp.workprec(cfg.precision_bits + 64):
@@ -262,8 +256,7 @@ def rational_ratio(k: int, j: int, m: int, cfg: EvalConfig) -> Fraction:
     and q^2 |x - a/q| <= 2^{-32}. A ratio whose true denominator is out of reach still
     has a closest fraction, but with q^2 |x - a/q| of order 1, so it raises
     ReconstructionFailed instead of returning that fraction."""
-    if k < 2:
-        raise InvalidK(f"k must be >= 2, got {k}")
+    check_k(k)
     if not (1 <= j < k):
         raise ValueError("rational ratios are defined for 1 <= j < k")
     if m < 0:
@@ -271,7 +264,7 @@ def rational_ratio(k: int, j: int, m: int, cfg: EvalConfig) -> Fraction:
     if m == 0:
         return Fraction(1)
     bits = max(cfg.precision_bits, 192)
-    sub = EvalConfig(bits)
+    sub = EvalConfig(bits, cfg.max_terms)
     with mp.workprec(bits + 16):
         den = beta_coeff(k, j, sub)
         if den == 0 or abs(den) < mp.mpf(2) ** (-(bits // 2)):
@@ -327,13 +320,12 @@ def hq_num(k: int, z, s, cfg: EvalConfig):
     * ((1-q^{k+1})/((k+1)s))^{kz/(k+1)} * (ks/(1-q^k))^z.
 
     This is the independent oracle for the exact a_{n,j} table."""
-    if k < 2:
-        raise InvalidK(f"k must be >= 2, got {k}")
+    check_k(k)
     guard = 48
-    sub = EvalConfig(cfg.precision_bits + guard)
+    sub = EvalConfig(cfg.precision_bits + guard, cfg.max_terms)
     with mp.workprec(cfg.precision_bits + guard):
         sv = frac_to_mpf(s)
-        zv = mp.mpc(z) if isinstance(z, (complex, mp.mpc)) else frac_to_mpf(z)
+        zv = frac_to_mpf(z)
         q = mp.exp(-sv)
         qk = mp.exp(-k * sv)
         qk1 = mp.exp(-(k + 1) * sv)
@@ -353,7 +345,7 @@ def hq_table_eval(biv: BivariateExpansion, z, s, cfg: EvalConfig):
     """sum_{j<=j_max} sum_n a_{n,j} s^j z^n at numeric (z, s)."""
     with mp.workprec(cfg.precision_bits + 32):
         sv = frac_to_mpf(s)
-        zv = mp.mpc(z) if isinstance(z, (complex, mp.mpc)) else frac_to_mpf(z)
+        zv = frac_to_mpf(z)
         tot = mp.mpf(0)
         sp = mp.mpf(1)
         for j in range(biv.j_max + 1):

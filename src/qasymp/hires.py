@@ -5,6 +5,7 @@ internally everything runs at an elevated working precision sized to absorb
 known cancellation (tracked per route), and results are rounded back to the
 target precision. Re-running with doubled precision therefore moves a result
 by no more than the final rounding, which is the package's precision contract.
+Every numeric argument is read by one rule, frac_to_mpf.
 
 The small-s route (gk_num's insum and I_n_num) runs one m-loop per (k, s): its
 real terms are binned by m mod 2(k+1), and each odd n then costs 2(k+1) phase
@@ -29,21 +30,20 @@ import mpmath as mp
 from mpmath.libmp import to_fixed
 
 from . import qseries
-from .errors import InvalidK, NonConvergent, PoleAtNonpositive, TermCapExceeded
+from .errors import NonConvergent, PoleAtNonpositive, TermCapExceeded, check_k
 
 LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Numeric evaluation knobs: precision, tail cutoff, and a term safety cap.
+    """Numeric evaluation knobs: the target precision and a term safety cap.
 
-    ``tail_threshold=None`` means 2^-(precision_bits+32), re-derived whenever the
-    precision changes (e.g. via dataclasses.replace for the doubling contract).
+    Sums and products stop below ``threshold`` = 2^-(precision_bits+32), which
+    follows the precision; sub-evaluations at more bits keep the caller's max_terms.
     """
 
     precision_bits: int = 256
-    tail_threshold: object = None
     max_terms: int = 2_000_000
 
     def __post_init__(self):
@@ -51,21 +51,19 @@ class EvalConfig:
             raise ValueError("precision_bits must be >= 64")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
-        if self.tail_threshold is not None:
-            if not (mp.mpf(self.tail_threshold) <= mp.mpf(2) ** (-self.precision_bits)):
-                raise ValueError("tail_threshold must be <= 2^-precision_bits")
 
     @property
     def threshold(self):
-        if self.tail_threshold is not None:
-            return mp.mpf(self.tail_threshold)
         return mp.mpf(2) ** (-(self.precision_bits + 32))
 
 
-def frac_to_mpf(x) -> mp.mpf:
-    """Exact rational (or int/str/mpf) converted at the current working precision."""
+def frac_to_mpf(x):
+    """A numeric argument at the current working precision: Fraction as
+    numerator/denominator, complex and mpc as mpc, int, str, float and mpf as mpf."""
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / x.denominator
+    if isinstance(x, (complex, mp.mpc)):
+        return mp.mpc(x)
     return mp.mpf(x)
 
 
@@ -194,6 +192,23 @@ def _qq_inf_core(s, use_transform=None):
     return val
 
 
+def _cut_product(z, qv, cfg, cap_message):
+    """prod_j (1 - z q^j) over the factors with |z q^j| > threshold (1 - q), or up
+    to an exactly zero product; past max_terms factors, TermCapExceeded(cap_message)."""
+    prod = mp.mpf(1)
+    thr = cfg.threshold * (1 - qv)
+    count = 0
+    while abs(z) > thr:
+        prod = prod * (1 - z)
+        if prod == 0:
+            break
+        z = z * qv
+        count += 1
+        if count > cfg.max_terms:
+            raise TermCapExceeded(cap_message)
+    return prod
+
+
 def pochhammer_num(z, q, cfg: EvalConfig):
     """(z; q)_infinity by direct product, truncated by the tail threshold."""
     guard = 48
@@ -201,18 +216,7 @@ def pochhammer_num(z, q, cfg: EvalConfig):
         qv = frac_to_mpf(q)
         if not (0 < qv < 1):
             raise NonConvergent(f"pochhammer product needs 0 < q < 1, got q={q}")
-        zq = mp.mpc(z) if isinstance(z, (complex, mp.mpc)) else mp.mpf(z)
-        prod = mp.mpf(1)
-        thr = cfg.threshold * (1 - qv)
-        count = 0
-        while abs(zq) > thr:
-            prod = prod * (1 - zq)
-            if prod == 0:
-                break
-            zq = zq * qv
-            count += 1
-            if count > cfg.max_terms:
-                raise TermCapExceeded("pochhammer_num exceeded max_terms")
+        prod = _cut_product(frac_to_mpf(z), qv, cfg, "pochhammer_num exceeded max_terms")
         return _round_to(prod, cfg)
 
 
@@ -243,7 +247,7 @@ def _is_nonpositive_int(x, prec) -> bool:
 
 def qsubz_num(x, q, cfg: EvalConfig):
     """(q;q)_x := (q;q)_infinity / (q^{x+1}; q)_infinity, valid for non-integer x."""
-    if _is_nonpositive_int(_shift_one(x), cfg.precision_bits):
+    if _is_nonpositive_int(_shift(x, 1), cfg.precision_bits):
         raise PoleAtNonpositive(f"(q;q)_x has a pole at x={x}")
     guard = 48
     with mp.workprec(cfg.precision_bits + guard):
@@ -252,42 +256,27 @@ def qsubz_num(x, q, cfg: EvalConfig):
             raise NonConvergent(f"(q;q)_x needs 0 < q < 1, got q={q}")
         s = -mp.log(qv)
         num = _qq_inf_core(s)
-        xv = frac_to_mpf(x) if not isinstance(x, (complex, mp.mpc)) else mp.mpc(x)
-        zpow = mp.power(qv, xv + 1)
-        den = mp.mpf(1)
-        thr = cfg.threshold * (1 - qv)
-        count = 0
-        while abs(zpow) > thr:
-            den = den * (1 - zpow)
-            zpow = zpow * qv
-            count += 1
-            if count > cfg.max_terms:
-                raise TermCapExceeded("qsubz_num exceeded max_terms")
+        zpow = mp.power(qv, frac_to_mpf(x) + 1)
+        den = _cut_product(zpow, qv, cfg, "qsubz_num exceeded max_terms")
         if den == 0:
             raise PoleAtNonpositive(f"(q;q)_x hit a vanishing factor at x={x}")
         return _round_to(num / den, cfg)
 
 
-def _shift_one(x):
+def _shift(x, d):
+    """x + d, exact for int and Fraction x, else at the ambient precision."""
     if isinstance(x, (int, Fraction)):
-        return x + 1
-    return mp.mpf(x) + 1 if not isinstance(x, (complex, mp.mpc)) else mp.mpc(x) + 1
+        return x + d
+    return frac_to_mpf(x) + d
 
 
 def gamma_q_num(x, q, cfg: EvalConfig):
     """Gamma_q(x) = (q;q)_{x-1} (1-q)^{1-x}, principal branch for the power."""
-    if isinstance(x, (int, Fraction)):
-        xm1 = x - 1
-    elif isinstance(x, (complex, mp.mpc)):
-        xm1 = mp.mpc(x) - 1
-    else:
-        xm1 = mp.mpf(x) - 1
     guard = 48
-    sub = qsubz_num(xm1, q, EvalConfig(cfg.precision_bits + guard, None, cfg.max_terms))
+    sub = qsubz_num(_shift(x, -1), q, EvalConfig(cfg.precision_bits + guard, cfg.max_terms))
     with mp.workprec(cfg.precision_bits + guard):
         qv = frac_to_mpf(q)
-        xv = frac_to_mpf(x) if not isinstance(x, (complex, mp.mpc)) else mp.mpc(x)
-        val = sub * mp.power(1 - qv, 1 - xv)
+        val = sub * mp.power(1 - qv, 1 - frac_to_mpf(x))
         return _round_to(val, cfg)
 
 
@@ -326,7 +315,7 @@ def _theta_sum(u, sv, cfg, use_inversion, complex_u):
     """theta_num's sum at the ambient precision; returns (value, cancellation bits)."""
     thr = cfg.threshold
     if use_inversion:
-        uv = mp.mpc(u) if complex_u else frac_to_mpf(u)
+        uv = frac_to_mpf(u)
         c = mp.pi ** 2 / (4 * sv)
         tot = mp.exp(-c * (1 + 2 * uv) ** 2) + mp.exp(-c * (1 - 2 * uv) ** 2)
         maxmag = abs(tot)
@@ -351,7 +340,7 @@ def _theta_sum(u, sv, cfg, use_inversion, complex_u):
     maxmag = mp.mpf(1)
     n = 1
     if complex_u:
-        z = mp.exp(2j * mp.pi * mp.mpc(u))
+        z = mp.exp(2j * mp.pi * frac_to_mpf(u))
         zi = 1 / z
         tot = mp.mpc(1)
         zp, zpi = z, zi
@@ -490,8 +479,7 @@ def _In_from_bins(k, n, bins):
 def I_n_num(k, n, s, cfg: EvalConfig):
     """I_n(s) = sum_m (-1)^m e^{i pi m n/(k+1)} q^{km(m+1)/2 - km^2/(2(k+1))}
     / ((q^k;q^k)_m (q^{k+1};q^{k+1})_{-km/(k+1)}), for odd n."""
-    if k < 2:
-        raise InvalidK(f"k must be >= 2, got {k}")
+    check_k(k)
     if n % 2 == 0:
         raise ValueError("I_n is defined for odd n")
     if not as_float(s) > 0:
@@ -519,11 +507,14 @@ def _gk_series(k, order):
 
 
 def _gk_series_core(k, s, cfg):
+    """sum_{e <= order} c_e e^{-s e}, order ~ prec/s; the cached series may be longer."""
     order = int((mp.mp.prec + 16) * LN2 / float(s)) + 16
     ser = _gk_series(k, order)
     x = mp.exp(-s)
     acc = mp.mpf(0)
     for e, c in ser.items():
+        if e > order:
+            break
         if isinstance(c, Fraction):
             acc += frac_to_mpf(c) * mp.power(x, e)
         else:
@@ -593,8 +584,7 @@ def gk_num(k, s, cfg: EvalConfig, route: str = "auto"):
     the odd-n sum (default for s < 1); "direct" is the plain m-sum with directly
     summed thetas, kept as the independent oracle for the other two.
     """
-    if k < 2:
-        raise InvalidK(f"k must be >= 2, got {k}")
+    check_k(k)
     sf = as_float(s)
     if not sf > 0:
         raise ValueError("s must be positive")
@@ -625,9 +615,8 @@ def relative_error_num(k, s, cfg: EvalConfig, route: str = "auto"):
 def gk_and_relative_error_num(k, s, cfg: EvalConfig, route: str = "auto"):
     """(g_k(e^{-s}), R_k(e^{-s})) to the configured precision from one g_k
     evaluation, made at precision_bits + 32 bits because R_k needs them."""
-    if k < 2:
-        raise InvalidK(f"k must be >= 2, got {k}")
-    g = gk_num(k, s, EvalConfig(cfg.precision_bits + 32, None, cfg.max_terms), route=route)
+    check_k(k)
+    g = gk_num(k, s, EvalConfig(cfg.precision_bits + 32, cfg.max_terms), route=route)
     with mp.workprec(cfg.precision_bits + 64):
         sv = frac_to_mpf(s)
         ratio = _qq_inf_core(k * sv) / _qq_inf_core((k + 1) * sv)

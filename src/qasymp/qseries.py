@@ -13,11 +13,10 @@ form, and the DP oracle starts each row at its first possibly nonzero exponent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from operator import add, sub
 
-from .errors import InvalidK
+from .errors import check_k
 from .exactcore import FormalSeries
 
 
@@ -58,26 +57,6 @@ def _binomial_product(factors, order: int) -> FormalSeries:
         if e < n:
             c[e:] = map(add if eps > 0 else sub, c[e:], c[: n - e])
     return FormalSeries(shift, c, order)
-
-
-@dataclass(frozen=True)
-class QExponentProduct:
-    """The product prod_{m>=0} (1 - q^{a + m b}) with its truncation order.
-
-    Only finitely many factors have exponent at or below the truncation order,
-    so the truncated expansion is finite and exact.
-    """
-
-    a: int
-    b: int
-    truncation_order: int
-
-    def __post_init__(self):
-        if self.b < 1:
-            raise ValueError("pochhammer base step b must be >= 1")
-
-    def expand(self) -> FormalSeries:
-        return pochhammer_series(self.a, self.b, self.truncation_order)
 
 
 def pochhammer_series(a: int, b: int, order: int) -> FormalSeries:
@@ -212,8 +191,7 @@ def gk_series_andrews(k: int, order: int) -> FormalSeries:
     exceeds the order; each factor is expanded just far enough that the
     truncation algebra certifies the product to the requested order.
     """
-    if k < 2:
-        raise InvalidK(f"k must be >= 2, got {k}")
+    check_k(k)
     if order < 0:
         raise ValueError("order must be >= 0")
     t_base = k * (k + 1) // 2
@@ -268,8 +246,7 @@ def Gk_series_oracle(k: int, order: int) -> FormalSeries:
     lowest possible exponent is that of row r-1 after size s-1, plus s:
     low[r] = low[r-1] + s. The loops start there and skip the known zeros.
     """
-    if k < 2:
-        raise InvalidK(f"k must be >= 2, got {k}")
+    check_k(k)
     if order < 0:
         raise ValueError("order must be >= 0")
     n = order

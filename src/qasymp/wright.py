@@ -38,6 +38,7 @@ rho and beta are taken as exact Fractions so that the poles of Gamma(beta - rho 
 (terms skipped exactly) are detected symbolically, never by floating comparison.
 Inputs given as int, str or Fraction are read exactly; a float is taken at its
 exact binary value (Fraction(x)), never rounded to a nearby simple fraction.
+The arguments z and w follow hires.frac_to_mpf.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import InvalidK, InvalidRho, NonConvergent, TermCapExceeded
+from .errors import InvalidRho, NonConvergent, TermCapExceeded, check_k
 from .hires import EvalConfig, as_float, frac_to_mpf, _round_to
 
 LN2 = math.log(2.0)
@@ -164,7 +165,7 @@ def _phi_peak_index(rho: Fraction, zabs: float) -> float:
 def _phi_series_core(params: WrightParams, z, j: int, cfg: EvalConfig):
     """Direct summation of phi_j at ambient precision."""
     rho, beta = params.rho, params.beta
-    zc = mp.mpc(z) if isinstance(z, (complex, mp.mpc)) else mp.mpf(z)
+    zc = frac_to_mpf(z)
     zabs = abs(zc)
     n_peak = _phi_peak_index(rho, zabs)
     n_cap = min(cfg.max_terms,
@@ -208,20 +209,14 @@ def _phi_series_core(params: WrightParams, z, j: int, cfg: EvalConfig):
 
 def wright_phi(params: WrightParams, z, cfg: EvalConfig):
     """phi(rho, beta; z) by direct series summation with symbolic pole skipping."""
-    guard = _phi_cancel_bits(params.rho, float(abs(mp.mpc(z)))) + 64
-    if guard > 1 << 22:
-        raise NonConvergent("direct summation would need over 4M guard bits; "
-                            "use W_j_num (quadrature route) for this argument")
-    with mp.workprec(cfg.precision_bits + guard):
-        val, _ = _phi_series_core(params, z, 0, cfg)
-        return _round_to(val, cfg)
+    return wright_phi_moment(0, params, z, cfg)
 
 
 def wright_phi_moment(j: int, params: WrightParams, z, cfg: EvalConfig):
     """phi_j(rho, beta; z) = sum_m m^j z^m/(m! Gamma(beta - rho m)); phi_0 = phi."""
     if j < 0:
         raise ValueError("moment order must be >= 0")
-    guard = _phi_cancel_bits(params.rho, float(abs(mp.mpc(z)))) + 64
+    guard = _phi_cancel_bits(params.rho, float(abs(frac_to_mpf(z)))) + 64
     if guard > 1 << 22:
         raise NonConvergent("direct summation would need over 4M guard bits; "
                             "use W_j_num (quadrature route) for this argument")
@@ -237,8 +232,7 @@ def wright_phi_moment(j: int, params: WrightParams, z, cfg: EvalConfig):
 def b_k_coeff(k: int, j: int, cfg: EvalConfig):
     """b_k(j) = (k+1)/(k pi j!) (-1)^{j+1} sin(pi j(k-1)/k) Gamma(j(k+1)/k);
     exactly zero when k | j (the sine argument is an integer multiple of pi)."""
-    if k < 2:
-        raise InvalidK(f"k must be >= 2, got {k}")
+    check_k(k)
     if j < 1:
         raise ValueError("j must be >= 1")
     if j % k == 0:
@@ -288,13 +282,12 @@ def W0_expansion(k: int, L: int, w, cfg: EvalConfig):
 def Wj_expansion(k: int, j: int, L: int, w, cfg: EvalConfig):
     """[j = 0] (k+1)/k + sum_{l=1}^{L-1} (-l(k+1)/k)^j b_k(l) w^{-l(k+1)/k}, the
     j-th moment expansion; remainder O(w^{-L(k+1)/k})."""
-    if k < 2:
-        raise InvalidK(f"k must be >= 2, got {k}")
+    check_k(k)
     with mp.workprec(cfg.precision_bits + 32):
         tot = mp.mpf(k + 1) / k if j == 0 else mp.mpf(0)
         wv = frac_to_mpf(w)
         for ell in range(1, L):
-            b = b_k_coeff(k, ell, EvalConfig(cfg.precision_bits + 32))
+            b = b_k_coeff(k, ell, EvalConfig(cfg.precision_bits + 32, cfg.max_terms))
             if b != 0:
                 e = frac_to_mpf(Fraction(ell * (k + 1), k))
                 tot += mp.power(-e, j) * b * mp.power(wv, -e)
@@ -388,19 +381,17 @@ def W_j_num(k: int, j: int, w, cfg: EvalConfig, route: str = "auto"):
     exp(w^{k+1} k^k/(k+1)^{k+1}) cancellation; route "quadrature" uses the
     reflected integral (no cancellation, any w). "auto" picks by cost.
     """
-    if k < 2:
-        raise InvalidK(f"k must be >= 2, got {k}")
+    check_k(k)
     if j < 0:
         raise ValueError("j must be >= 0")
     if not as_float(w) > 0:
         raise ValueError("W_j is evaluated for w > 0")
     rho_f = Fraction(k, k + 1)
+    bits = _phi_cancel_bits(rho_f, as_float(w))
     if route == "auto":
-        bits = _phi_cancel_bits(rho_f, as_float(w))
         route = "series" if bits + cfg.precision_bits <= 2600 else "quadrature"
     if route == "series":
-        guard = _phi_cancel_bits(rho_f, as_float(w)) + 64
-        with mp.workprec(cfg.precision_bits + guard):
+        with mp.workprec(cfg.precision_bits + bits + 64):
             z = frac_to_mpf(w) * mp.expjpi(-frac_to_mpf(rho_f))
             val, _ = _phi_series_core(WrightParams(rho_f), z, j, cfg)
             return _round_to(2 * mp.re(val), cfg)

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from qasymp import exactcore
 from qasymp.errors import ExpWithConstantTerm, InvertAtZero, SeriesTruncationError
 from qasymp.exactcore import (FormalSeries, ZPolynomial, bernoulli_number,
-                              bernoulli_polynomial, polynomial_compose_affine,
-                              rational_from_str, rational_to_str, series_arith)
+                              bernoulli_polynomial, rational_from_str, rational_to_str)
 
 
 class TestBernoulli:
@@ -70,15 +69,15 @@ class TestBernoulli:
 class TestPolynomial:
     def test_compose_affine_identity(self):
         p = ZPolynomial([F(0), F(0), F(1)])  # x^2
-        assert polynomial_compose_affine(p, F(1), F(0)) == p
+        assert p.compose_affine(F(1), F(0)) == p
 
     def test_compose_affine_degree_one(self):
         p = ZPolynomial([F(0), F(1)])  # x
-        assert polynomial_compose_affine(p, F(-3, 4), F(1)) == ZPolynomial([F(1), F(-3, 4)])
+        assert p.compose_affine(F(-3, 4), F(1)) == ZPolynomial([F(1), F(-3, 4)])
 
     def test_compose_affine_expansion(self):
         p = ZPolynomial([F(0), F(0), F(1)])  # x^2 -> (2z+1)^2 = 4z^2+4z+1
-        assert polynomial_compose_affine(p, F(2), F(1)) == ZPolynomial([F(1), F(4), F(4)])
+        assert p.compose_affine(F(2), F(1)) == ZPolynomial([F(1), F(4), F(4)])
 
     def test_eval_exact(self):
         p = ZPolynomial([F(1), F(-3, 2), F(1, 2)])
@@ -98,13 +97,6 @@ class TestSeriesBasics:
         a = FormalSeries(0, [1, -1], 3)
         b = FormalSeries(0, [1, 1, 1, 1], 3)
         assert (a * b) == FormalSeries.one(3)
-
-    def test_series_arith_dispatch(self):
-        a = FormalSeries(0, [1, -1], 3)
-        assert series_arith(a, None, "invert") == a.invert()
-        assert series_arith(a, a, "add") == a + a
-        with pytest.raises(ValueError):
-            series_arith(a, None, "frobnicate")
 
     def test_invert_at_zero_raises(self):
         with pytest.raises(InvertAtZero):

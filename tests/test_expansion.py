@@ -7,8 +7,7 @@ import pytest
 
 from conftest import close_bits
 from qasymp.errors import InvalidK, ReconstructionFailed
-from qasymp.exactcore import (bernoulli_number, bernoulli_polynomial,
-                              polynomial_compose_affine)
+from qasymp.exactcore import bernoulli_number, bernoulli_polynomial
 from qasymp.expansion import (beta_coeff, build_puiseux, expansion_eval,
                               f2j_polynomial, hq_bivariate, hq_num, hq_table_eval,
                               rational_ratio, zagier_c1, zagier_c2, zagier_t_coeffs)
@@ -26,8 +25,8 @@ class TestF2j:
         # rebuild f_2 for k=3 directly from the Bernoulli operations
         k, j = 3, 1
         b3 = bernoulli_polynomial(3)
-        expected = (polynomial_compose_affine(b3, F(1), F(1)).scale(F(k) ** 2)
-                    + polynomial_compose_affine(b3, F(-k, k + 1), F(1)).scale(F(k + 1) ** 2))
+        expected = (b3.compose_affine(F(1), F(1)).scale(F(k) ** 2)
+                    + b3.compose_affine(F(-k, k + 1), F(1)).scale(F(k + 1) ** 2))
         expected = expected.scale(bernoulli_number(2) / F(2 * 6))
         assert f2j_polynomial(k, j) == expected
 

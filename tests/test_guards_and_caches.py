@@ -7,8 +7,11 @@ import mpmath as mp
 import pytest
 
 from conftest import close_bits
-from qasymp import expansion, hires
-from qasymp.hires import EvalConfig
+from qasymp import expansion, hires, qseries
+from qasymp.errors import TermCapExceeded
+from qasymp.exactcore import FormalSeries
+from qasymp.expansion import hq_num
+from qasymp.hires import EvalConfig, gamma_q_num, gk_num
 from qasymp.wright import WrightParams, wright_phi, wright_phi_moment
 
 
@@ -61,6 +64,30 @@ class TestBetaGuard:
         got = expansion.beta_coeff(2, 63, EvalConfig(128))  # cancels 168 bits
         want = expansion.beta_coeff(2, 63, EvalConfig(768))
         assert _rel_within(got, want, 128 - 8)
+
+
+class TestSubConfigs:
+    """A sub-evaluation at more bits keeps the caller's max_terms."""
+
+    def test_hq_num(self):
+        with pytest.raises(TermCapExceeded):
+            hq_num(3, F(1, 3), "0.1", EvalConfig(128, max_terms=5))
+
+    def test_gamma_q_num(self):
+        with pytest.raises(TermCapExceeded):
+            gamma_q_num(F(5, 2), "0.6", EvalConfig(128, max_terms=5))
+
+
+class TestGkSeriesOrder:
+    def test_sum_stops_at_its_order(self, monkeypatch):
+        # g_2(e^{-5/2}) at 64 bits needs about 55 coefficients; a cached longer
+        # series whose coefficients beyond 60 are wrong must not change the value
+        monkeypatch.setitem(hires._GK_SERIES_CACHE, 2, qseries.gk_series_andrews(2, 60))
+        want = gk_num(2, "2.5", EvalConfig(64), route="series")
+        ser = qseries.gk_series_andrews(2, 200)
+        bad = [c if ser.low + i <= 60 else 10 ** 60 for i, c in enumerate(ser.coeffs)]
+        monkeypatch.setitem(hires._GK_SERIES_CACHE, 2, FormalSeries(ser.low, bad, 200))
+        assert gk_num(2, "2.5", EvalConfig(64), route="series") == want
 
 
 class TestBoundedCaches:

@@ -19,8 +19,6 @@ class TestEvalConfig:
             EvalConfig(32)
         with pytest.raises(ValueError):
             EvalConfig(128, max_terms=0)
-        with pytest.raises(ValueError):
-            EvalConfig(128, tail_threshold=mp.mpf("0.5"))
 
     def test_default_threshold_tracks_precision(self):
         assert EvalConfig(128).threshold == mp.mpf(2) ** (-160)
@@ -48,6 +46,12 @@ class TestPochhammerNum:
     def test_q_out_of_range(self, cfg192):
         with pytest.raises(NonConvergent):
             pochhammer_num(0.5, 1.0, cfg192)
+
+    def test_fraction_z(self, cfg192):
+        # z is read by the same rule as q: a Fraction exactly
+        with mp.workprec(256):
+            ref = mp.qp(mp.mpf(1) / 3, mp.mpf("0.5"))
+        assert close_bits(pochhammer_num(F(1, 3), "0.5", cfg192), ref, 184)
 
 
 class TestQsubz:

@@ -4,7 +4,7 @@ import pytest
 
 from qasymp.errors import InvalidK
 from qasymp.exactcore import FormalSeries
-from qasymp.qseries import (Gk_series_oracle, QExponentProduct, _binomial_product,
+from qasymp.qseries import (Gk_series_oracle, _binomial_product,
                             chi_series, euler_identity_check, g2_product_side,
                             g2_product_side_as_printed, gk_from_oracle,
                             gk_series_andrews, pochhammer_series,
@@ -31,11 +31,9 @@ class TestPochhammer:
         assert s.low_exponent < 0
         assert s.truncation_order == 6
 
-    def test_exponent_product_type(self):
-        prod = QExponentProduct(2, 3, 8)
-        assert prod.expand() == pochhammer_series(2, 3, 8)
+    def test_rejects_zero_step(self):
         with pytest.raises(ValueError):
-            QExponentProduct(1, 0, 5)
+            pochhammer_series(1, 0, 5)
 
     def test_zero_detection_matches_expanded_product(self):
         # the symbolic term-skip (a <= 0, b | a) agrees with multiplying the

@@ -57,6 +57,13 @@ class TestMoments:
     def test_weight_kills_m0(self, cfg192):
         assert wright_phi_moment(1, WrightParams(F(3, 4)), 0, cfg192) == 0
 
+    def test_fraction_argument(self, cfg192):
+        # z is read by hires.frac_to_mpf: a Fraction gives the value of its decimal
+        assert wright_phi(WrightParams(F(1, 2)), F(3, 2), cfg192) \
+            == wright_phi(WrightParams(F(1, 2)), "1.5", cfg192)
+        assert wright_phi_moment(1, WrightParams(F(3, 4)), F(3, 2), cfg192) \
+            == wright_phi_moment(1, WrightParams(F(3, 4)), "1.5", cfg192)
+
     def test_j2_precision_stable(self):
         v1 = wright_phi_moment(2, WrightParams(F(3, 4)), 1, EvalConfig(128))
         v2 = wright_phi_moment(2, WrightParams(F(3, 4)), 1, EvalConfig(256))
