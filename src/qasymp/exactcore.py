@@ -112,21 +112,6 @@ class ZPolynomial:
         n = max(len(self.coeffs), len(other.coeffs))
         return ZPolynomial([self.coefficient(d) - other.coefficient(d) for d in range(n)])
 
-    def __neg__(self) -> "ZPolynomial":
-        return ZPolynomial([-c for c in self.coeffs])
-
-    def __mul__(self, other: "ZPolynomial") -> "ZPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return ZPolynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return ZPolynomial(out)
-
     def scale(self, c: Coeff) -> "ZPolynomial":
         return ZPolynomial([a * c for a in self.coeffs])
 

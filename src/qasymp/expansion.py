@@ -6,6 +6,9 @@ beta_k(j) is one transcendental factor T_k(j mod k) times an exact rational
 R_k(j) (beta_rational), so coefficient ratios within a residue class, t1 and t2
 among them, are exact. rational_ratio reconstructs the same ratios from the
 numeric values by continued fractions, as an independent cross-check.
+
+The a_{n,j} recurrence runs over integers, one denominator per row, and its
+inputs f_{2j} come in closed form from the Bernoulli shift identity.
 """
 from __future__ import annotations
 
@@ -14,27 +17,30 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, gcd, lcm, prod
+from operator import add
 
 import mpmath as mp
 
 from .errors import DivisionByZeroBeta, ReconstructionFailed, check_k
-from .exactcore import ZPolynomial, bernoulli_number, bernoulli_polynomial, rational_to_str
+from .exactcore import ZPolynomial, bernoulli_number, rational_to_str
 from .hires import (EvalConfig, _bounded_put, _round_to, frac_to_mpf, gamma_q_num,
                     mpf_to_fraction)
 
 
 def f2j_polynomial(k: int, j: int) -> ZPolynomial:
     """f_{2j}(z) = B_{2j} (B_{2j+1}(1+z) k^{2j} + B_{2j+1}(1 - kz/(k+1)) (k+1)^{2j})
-    / (2j (2j+1)!); exact, degree 2j+1."""
+    / (2j (2j+1)!); exact, degree 2j+1. By B_n(1+h) = sum_d C(n,d) B_{n-d}(1) h^d
+    with n = 2j+1 and B_i(1) = (-1)^i B_i, its z^d coefficient is
+    B_{2j}/(2j n!) C(n,d) B_{n-d}(1) (k^{2j} + (k+1)^{2j} (-k/(k+1))^d)."""
     check_k(k)
     if j < 1:
         raise ValueError("j must be >= 1")
-    bp = bernoulli_polynomial(2 * j + 1)
-    p1 = bp.compose_affine(Fraction(1), Fraction(1)).scale(Fraction(k) ** (2 * j))
-    p2 = bp.compose_affine(Fraction(-k, k + 1), Fraction(1)).scale(Fraction(k + 1) ** (2 * j))
-    scale = bernoulli_number(2 * j) / Fraction(2 * j * factorial(2 * j + 1))
-    return (p1 + p2).scale(scale)
+    n = 2 * j + 1
+    scale = bernoulli_number(2 * j) / Fraction(2 * j * factorial(n))
+    r = Fraction(-k, k + 1)
+    return ZPolynomial([scale * comb(n, d) * (-1) ** (n - d) * bernoulli_number(n - d)
+                        * (k ** (2 * j) + (k + 1) ** (2 * j) * r ** d) for d in range(n + 1)])
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,9 @@ _BIV_LOCK = threading.Lock()
 def hq_bivariate(k: int, j_max: int) -> BivariateExpansion:
     """Exact a_{n,j} for j <= j_max, from
     h_q(z) = exp(s (k z^2/(4(k+1)) - k z/2) - sum_{j>=1} f_{2j}(z) s^{2j} + ...),
-    via the exponential recurrence over polynomials in z."""
+    via the exponential recurrence e_t = (1/t) sum_i i c_i e_{t-i} over polynomials
+    in z, each kept as integer coefficients over one denominator, reduced by one
+    gcd per row."""
     check_k(k)
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
@@ -84,19 +92,26 @@ def hq_bivariate(k: int, j_max: int) -> BivariateExpansion:
         if hit.j_max == j_max:
             return hit
         return BivariateExpansion(k, j_max, hit.table[: j_max + 1])
-    c: dict[int, ZPolynomial] = {
-        1: ZPolynomial([Fraction(0), Fraction(-k, 2), Fraction(k, 4 * (k + 1))])
-    }
+    c = {1: ([0, -2 * k * (k + 1), k], 4 * (k + 1))}
     for i in range(1, j_max // 2 + 1):
-        c[2 * i] = c.get(2 * i, ZPolynomial()) + (-f2j_polynomial(k, i))
-    e: list[ZPolynomial] = [ZPolynomial([Fraction(1)])]
+        f = f2j_polynomial(k, i).coeffs
+        d = lcm(*(x.denominator for x in f))
+        c[2 * i] = ([-x.numerator * (d // x.denominator) for x in f], d)
+    e = [([1], 1)]
     for t in range(1, j_max + 1):
-        acc = ZPolynomial()
-        for i in range(1, t + 1):
-            ci = c.get(i)
-            if ci is not None:
-                acc = acc + (ci * e[t - i]).scale(Fraction(i))
-        e.append(acc.scale(Fraction(1, t)))
+        parts = [(i, ci, di, *e[t - i]) for i, (ci, di) in c.items() if i <= t]
+        den = lcm(*(di * dr for _, _, di, _, dr in parts))
+        acc = [0] * max(len(ci) + len(row) - 1 for _, ci, _, row, _ in parts)
+        for i, ci, di, row, dr in parts:
+            w = i * (den // (di * dr))
+            for a, x in enumerate(ci):
+                if x:
+                    b = a + len(row)
+                    acc[a:b] = map(add, acc[a:b], map((w * x).__mul__, row))
+        den *= t
+        g = gcd(den, *acc)
+        e.append(([x // g for x in acc], den // g))
+    e = [ZPolynomial([Fraction(x, d) for x in row]) for row, d in e]
     # build-time verification of the structural claims the beta sum relies on
     for j, poly in enumerate(e):
         if poly.degree > 2 * j:
@@ -106,7 +121,7 @@ def hq_bivariate(k: int, j_max: int) -> BivariateExpansion:
             raise RuntimeError("a_(0,0) != 1")
         if j >= 1 and a0 != 0:
             raise RuntimeError(f"a_(0,{j}) = {a0} != 0")
-    table = tuple(tuple(Fraction(x) for x in poly.coeffs) for poly in e)
+    table = tuple(poly.coeffs for poly in e)
     result = BivariateExpansion(k, j_max, table)
     with _BIV_LOCK:
         prev = _BIV_CACHE.get(k)

@@ -273,8 +273,8 @@ def _shift(x, d):
 def gamma_q_num(x, q, cfg: EvalConfig):
     """Gamma_q(x) = (q;q)_{x-1} (1-q)^{1-x}, principal branch for the power."""
     guard = 48
-    sub = qsubz_num(_shift(x, -1), q, EvalConfig(cfg.precision_bits + guard, cfg.max_terms))
     with mp.workprec(cfg.precision_bits + guard):
+        sub = qsubz_num(_shift(x, -1), q, EvalConfig(cfg.precision_bits + guard, cfg.max_terms))
         qv = frac_to_mpf(q)
         val = sub * mp.power(1 - qv, 1 - frac_to_mpf(x))
         return _round_to(val, cfg)

@@ -8,8 +8,10 @@ even though several building blocks are genuine Laurent series.
 
 Products of binomials turn every factor with a negative exponent around,
 (1 + eps q^e) = eps q^e (1 + eps q^{-e}), and multiply the remaining
-positive-exponent binomials in one dense integer list; chi is summed in nested
-form, and the DP oracle starts each row at its first possibly nonzero exponent.
+positive-exponent binomials into a dense integer list, which may start from a
+given series; dividing by (1 - q^e) is the same kind of slice update. Andrews'
+m-sum uses these and one sparse-by-dense product per term. chi is summed in
+nested form, and the DP oracle starts each row at its first possibly nonzero exponent.
 """
 from __future__ import annotations
 
@@ -24,14 +26,16 @@ from .exactcore import FormalSeries
 # products of binomials (1 + eps * q^e)
 # ---------------------------------------------------------------------------
 
-def _binomial_product(factors, order: int) -> FormalSeries:
-    """Exact truncated product of (1 + eps*q^e) factors, eps = +-1; e may be negative.
+def _binomial_product(factors, order: int, start: FormalSeries | None = None) -> FormalSeries:
+    """Exact truncated product of (1 + eps*q^e) factors (eps = +-1, e may be
+    negative), times start (default 1).
 
     A factor with e < 0 is rewritten as (1 + eps*q^e) = eps*q^e*(1 + eps*q^{-e}),
     so the product is a constant times q^shift (shift = sum of the negative
-    exponents) times binomials with positive exponents only. Those are multiplied
-    in one dense list of the coefficients of q^0..q^{order-shift}, one slice
-    update per factor. A factor (1 - q^0), or an order below shift, gives the
+    exponents) times binomials with positive exponents only. Those multiply the
+    dense coefficients of start up to q^{order-shift}, one slice update per factor;
+    the result is known to order, or to start's truncation order + shift if lower.
+    A factor (1 - q^0), a zero start, or an order below the lowest term gives the
     zero series.
     """
     const = 1
@@ -48,15 +52,24 @@ def _binomial_product(factors, order: int) -> FormalSeries:
             shift += e
             e = -e
         exps.append((eps, e))
-    width = order - shift
-    if width < 0:
+    low, cs = (0, (1,)) if start is None else (start.low, start.coeffs)
+    order = order if start is None else min(order, start.trunc + shift)
+    width = order - shift - low
+    if width < 0 or not cs:
         return FormalSeries.zero(order)
     n = width + 1
-    c = [const] + [0] * width
+    c = [const * x for x in cs[:n]] + [0] * (n - len(cs))
     for eps, e in exps:
         if e < n:
             c[e:] = map(add if eps > 0 else sub, c[e:], c[: n - e])
-    return FormalSeries(shift, c, order)
+    return FormalSeries(shift + low, c, order)
+
+
+def _divide_binomial(c: list, e: int) -> None:
+    """c / (1 - q^e) in place, c the dense coefficients of q^0, q^1, ...:
+    c[x] += c[x - e] in ascending x, one slice of e entries at a time."""
+    for a in range(e, len(c), e):
+        c[a: a + e] = map(add, c[a: a + e], c[a - e: a])
 
 
 def pochhammer_series(a: int, b: int, order: int) -> FormalSeries:
@@ -190,21 +203,22 @@ def gk_series_andrews(k: int, order: int) -> FormalSeries:
     km(m+1)/2 + (negative part of the Pochhammer factor) + (theta minimum)
     exceeds the order; each factor is expanded just far enough that the
     truncation algebra certifies the product to the requested order.
+
+    Term m, q^{km(m+1)/2} theta/(q^k;q^k)_m, is one sparse-by-dense product, then
+    multiplied in place by the binomials of (q^{k+1-km}; q^{k+1})_infinity; the sum
+    is divided by (q^k;q^k)_infinity one factor (1 - q^e) at a time.
     """
     check_k(k)
     if order < 0:
         raise ValueError("order must be >= 0")
     t_base = k * (k + 1) // 2
     invf: list = [1] + [0] * order  # inverse of (q^k;q^k)_m, maintained to full order
-    total = FormalSeries.zero(order)
+    total = [0] * (order + 1)
     m = 0
     misses = 0
     while misses < 3:
         if m > 0:
-            e = k * m
-            if e <= order:
-                for x in range(e, order + 1):
-                    invf[x] += invf[x - e]
+            _divide_binomial(invf, k * m)
         if m > 0 and m % (k + 1) == 0:
             # (q^{k+1-km}; q^{k+1})_infinity contains the factor 1 - q^0
             m += 1
@@ -220,18 +234,17 @@ def gk_series_andrews(k: int, order: int) -> FormalSeries:
             m += 1
             continue
         misses = 0
-        lp = order - cp - th_min
-        lth = order - cp - s_neg
-        li = order - cp - s_neg - th_min
-        p_ser = pochhammer_series(k + 1 - k * m, k + 1, lp)
-        th_ser = theta_series(k * m, t_base, lth)
-        inv_ser = FormalSeries(0, invf[: li + 1], li)
-        term = (p_ser * th_ser * inv_ser).shift(cp)
-        if m % 2:
-            term = -term
-        total = total + term
+        li = order - min_exp
+        th = theta_series(k * m, t_base, order - cp - s_neg)
+        th_inv = (th * FormalSeries(0, invf[: li + 1], li)).shift(cp)
+        term = _binomial_product([(-1, e) for e in range(k + 1 - k * m, li + 1, k + 1)],
+                                 order, th_inv)
+        lo, cs = term.low, term.coeffs
+        total[lo: lo + len(cs)] = map(sub if m % 2 else add, total[lo: lo + len(cs)], cs)
         m += 1
-    g = total * pochhammer_series(k, k, order).invert()
+    for e in range(k, order + 1, k):
+        _divide_binomial(total, e)
+    g = FormalSeries(0, total, order)
     if g.low_exponent < 0 or g.coefficient(0) != 1:
         raise RuntimeError(f"g_{k} expansion failed consistency check: low={g.low_exponent}")
     return g
@@ -361,8 +374,7 @@ def euler_identity_check(order: int) -> bool:
     inv_list.append(FormalSeries(0, invf, d))
     for n_ in range(1, d + 1):
         invf = list(invf)
-        for x in range(n_, d + 1):
-            invf[x] += invf[x - n_]
+        _divide_binomial(invf, n_)
         inv_list.append(FormalSeries(0, invf, d))
     # identity 1: (z;q)_inf * sum_n z^n/(q;q)_n == 1
     b = [inv_list[n_] for n_ in range(d + 1)]

@@ -30,6 +30,18 @@ class TestF2j:
         expected = expected.scale(bernoulli_number(2) / F(2 * 6))
         assert f2j_polynomial(k, j) == expected
 
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_closed_form_matches_composition(self, k):
+        # scale (B_{2j+1}(1+z) k^{2j} + B_{2j+1}(1 - kz/(k+1)) (k+1)^{2j}), composed
+        for j in range(1, 12):
+            bp = bernoulli_polynomial(2 * j + 1)
+            expected = (bp.compose_affine(F(1), F(1)).scale(F(k) ** (2 * j))
+                        + bp.compose_affine(F(-k, k + 1), F(1)).scale(F(k + 1) ** (2 * j)))
+            expected = expected.scale(bernoulli_number(2 * j) / F(2 * j * math.factorial(2 * j + 1)))
+            got = f2j_polynomial(k, j)
+            assert got == expected
+            assert repr(got.coeffs) == repr(expected.coeffs)
+
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_degree_three(self, k):
         assert f2j_polynomial(k, 1).degree == 3

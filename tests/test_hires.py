@@ -80,6 +80,12 @@ class TestGammaQ:
     def test_small_integers(self, cfg192, x, expected):
         assert close_bits(gamma_q_num(x, 0.5, cfg192), mp.mpf(expected), 184)
 
+    @pytest.mark.parametrize("prec", [64, 128, 192])
+    def test_string_reads_as_its_exact_rational(self, prec):
+        # x - 1 of a string x is formed at the working precision, not at 53 bits
+        cfg = EvalConfig(prec)
+        assert gamma_q_num("0.3", 0.5, cfg)._mpf_ == gamma_q_num(F(3, 10), 0.5, cfg)._mpf_
+
     def test_limit_toward_gamma(self, cfg256):
         # Gamma_q -> Gamma as q -> 1
         with mp.workprec(300):

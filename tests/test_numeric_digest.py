@@ -154,8 +154,10 @@ FROZEN = {
                     "46285d340c3afd63ed55c97795633e20f149c82e1115545961b373a766d3cc95"),
     "qsubz": (qsubz_grid, 36,
               "fd77fd84a7c0f86eead7081cc018ba05a48a57eaeb56e8792ccea32c8b9c112b"),
+    # re-frozen when gamma_q_num began to form x - 1 at its working precision: only
+    # the six rows of x = "0.3" moved, each to the value of Fraction(3, 10)
     "gamma_q": (gamma_q_grid, 36,
-                "a9a5d6fcdf78622a90de8b9de8a91054faf3572d5900ee815bbfdaa58d4aaf0c"),
+                "69ef1a9fc0e8f598073191afc37a64368ef641a9065e8a5aba0a96d1cb94d8ef"),
     "hq": (hq_grid, 36,
            "da768f2340ed6cff59693701ad21bbf420b2658dd55a42161a5f8de691fa0a07"),
     "hq_table": (hq_table_grid, 18,
