@@ -36,7 +36,8 @@ class NonConvergent(QAsympError):
 
 
 class TermCapExceeded(QAsympError):
-    """The max_terms safety cap was hit before the tail threshold."""
+    """A sum or product loop reached EvalConfig.max_terms, the class-wide term cap,
+    before its tail threshold."""
 
 
 class PoleAtNonpositive(QAsympError):

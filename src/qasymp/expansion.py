@@ -13,7 +13,6 @@ inputs f_{2j} come in closed form from the Bernoulli shift identity.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +23,7 @@ import mpmath as mp
 
 from .errors import DivisionByZeroBeta, ReconstructionFailed, check_k
 from .exactcore import ZPolynomial, bernoulli_number, rational_to_str
-from .hires import (EvalConfig, _bounded_put, _round_to, frac_to_mpf, gamma_q_num,
+from .hires import (LOCK, EvalConfig, evaluate, frac_to_mpf, gamma_q_num, keep_longest,
                     mpf_to_fraction)
 
 
@@ -73,8 +72,7 @@ class BivariateExpansion:
         return json.dumps({"k": self.k, "j_max": self.j_max, "entries": entries})
 
 
-_BIV_CACHE: dict[int, BivariateExpansion] = {}
-_BIV_LOCK = threading.Lock()
+_BIV_CACHE: dict[int, BivariateExpansion] = {}  # k -> the longest table computed
 
 
 def hq_bivariate(k: int, j_max: int) -> BivariateExpansion:
@@ -86,12 +84,14 @@ def hq_bivariate(k: int, j_max: int) -> BivariateExpansion:
     check_k(k)
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
-    with _BIV_LOCK:
-        hit = _BIV_CACHE.get(k)
-    if hit is not None and hit.j_max >= j_max:
-        if hit.j_max == j_max:
-            return hit
-        return BivariateExpansion(k, j_max, hit.table[: j_max + 1])
+    biv = keep_longest(_BIV_CACHE, k, j_max, lambda b: b.j_max,
+                       lambda: _bivariate_table(k, j_max))
+    if biv.j_max == j_max:
+        return biv
+    return BivariateExpansion(k, j_max, biv.table[: j_max + 1])
+
+
+def _bivariate_table(k: int, j_max: int) -> BivariateExpansion:
     c = {1: ([0, -2 * k * (k + 1), k], 4 * (k + 1))}
     for i in range(1, j_max // 2 + 1):
         f = f2j_polynomial(k, i).coeffs
@@ -121,23 +121,12 @@ def hq_bivariate(k: int, j_max: int) -> BivariateExpansion:
             raise RuntimeError("a_(0,0) != 1")
         if j >= 1 and a0 != 0:
             raise RuntimeError(f"a_(0,{j}) = {a0} != 0")
-    table = tuple(poly.coeffs for poly in e)
-    result = BivariateExpansion(k, j_max, table)
-    with _BIV_LOCK:
-        prev = _BIV_CACHE.get(k)
-        if prev is None or prev.j_max < j_max:
-            _BIV_CACHE[k] = result
-    return result
+    return BivariateExpansion(k, j_max, tuple(poly.coeffs for poly in e))
 
 
 # ---------------------------------------------------------------------------
 # beta coefficients and the expansion itself
 # ---------------------------------------------------------------------------
-
-_BETA_CACHE: dict = {}  # (k, j, precision) -> beta_k(j), the newest _BETA_CACHE_SIZE kept
-_BETA_CACHE_SIZE = 256
-_BETA_LOCK = threading.Lock()
-
 
 @lru_cache(maxsize=1024)
 def beta_rational(k: int, j: int) -> Fraction:
@@ -178,21 +167,21 @@ def beta_coeff(k: int, j: int, cfg: EvalConfig):
     check_k(k)
     if j < 1:
         raise ValueError("j must be >= 1")
-    j0 = j % k
-    if j0 == 0:
+    if j % k == 0:
         return mp.mpf(0)
-    key = (k, j, cfg.precision_bits)
-    with _BETA_LOCK:
-        hit = _BETA_CACHE.get(key)
-    if hit is not None:
-        return hit
-    with mp.workprec(cfg.precision_bits + 32):
+    return _beta_at(k, j, cfg.precision_bits)
+
+
+@lru_cache(maxsize=256)
+def _beta_at(k: int, j: int, precision_bits: int):
+    """beta_coeff's value for 1 <= j, k not dividing j; the newest 256 are kept."""
+    def core():
+        j0 = j % k
         x0 = frac_to_mpf(Fraction(j0 * (k + 1), k))
         t = mp.mpf(k + 1) / (k * mp.pi) * mp.sinpi(mp.mpf(j0) / k) * mp.gamma(x0) \
             * mp.power(k, x0)
-        val = _round_to(t * frac_to_mpf(beta_rational(k, j)), cfg)
-    _bounded_put(_BETA_CACHE, _BETA_LOCK, key, val, _BETA_CACHE_SIZE)
-    return val
+        return t * frac_to_mpf(beta_rational(k, j))
+    return evaluate(EvalConfig(precision_bits), 32, core)
 
 
 @dataclass(frozen=True)
@@ -244,7 +233,8 @@ def expansion_eval(k: int, n_order: int, s, cfg: EvalConfig):
     check_k(k)
     if n_order < 0:
         raise ValueError("N must be >= 0")
-    with mp.workprec(cfg.precision_bits + 64):
+
+    def core():
         sv = frac_to_mpf(s)
         if not sv > 0:
             raise ValueError("s must be positive")
@@ -253,9 +243,9 @@ def expansion_eval(k: int, n_order: int, s, cfg: EvalConfig):
             b = beta_coeff(k, j, cfg)
             if b != 0:
                 series += b * mp.power(sv, mp.mpf(j) / k)
-        pref = mp.sqrt(2 * mp.pi / sv) / (k + 1) \
-            * mp.exp(-mp.pi ** 2 / (3 * k * (k + 1) * sv) + sv / 24)
-        return _round_to(pref * series, cfg)
+        return mp.sqrt(2 * mp.pi / sv) / (k + 1) \
+            * mp.exp(-mp.pi ** 2 / (3 * k * (k + 1) * sv) + sv / 24) * series
+    return evaluate(cfg, 64, core)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +269,8 @@ def rational_ratio(k: int, j: int, m: int, cfg: EvalConfig) -> Fraction:
     if m == 0:
         return Fraction(1)
     bits = max(cfg.precision_bits, 192)
-    sub = EvalConfig(bits, cfg.max_terms)
-    with mp.workprec(bits + 16):
+    sub = EvalConfig(bits)
+    with LOCK, mp.workprec(bits + 16):
         den = beta_coeff(k, j, sub)
         if den == 0 or abs(den) < mp.mpf(2) ** (-(bits // 2)):
             raise DivisionByZeroBeta(f"beta_{k}({j}) vanishes; ratio undefined")
@@ -310,18 +300,14 @@ def zagier_t_coeffs(m_max: int, cfg: EvalConfig):
 
 def zagier_c1(cfg: EvalConfig):
     """c_1 = 3^{-1/6} Gamma(1/3) / (8 pi)."""
-    with mp.workprec(cfg.precision_bits + 16):
-        val = mp.power(3, frac_to_mpf(Fraction(-1, 6))) \
-            * mp.gamma(frac_to_mpf(Fraction(1, 3))) / (8 * mp.pi)
-        return _round_to(val, cfg)
+    return evaluate(cfg, 16, lambda: mp.power(3, frac_to_mpf(Fraction(-1, 6)))
+                    * mp.gamma(frac_to_mpf(Fraction(1, 3))) / (8 * mp.pi))
 
 
 def zagier_c2(cfg: EvalConfig):
     """c_2 = 3^{1/6} Gamma(2/3) / (32 pi)."""
-    with mp.workprec(cfg.precision_bits + 16):
-        val = mp.power(3, frac_to_mpf(Fraction(1, 6))) \
-            * mp.gamma(frac_to_mpf(Fraction(2, 3))) / (32 * mp.pi)
-        return _round_to(val, cfg)
+    return evaluate(cfg, 16, lambda: mp.power(3, frac_to_mpf(Fraction(1, 6)))
+                    * mp.gamma(frac_to_mpf(Fraction(2, 3))) / (32 * mp.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +323,9 @@ def hq_num(k: int, z, s, cfg: EvalConfig):
     This is the independent oracle for the exact a_{n,j} table."""
     check_k(k)
     guard = 48
-    sub = EvalConfig(cfg.precision_bits + guard, cfg.max_terms)
-    with mp.workprec(cfg.precision_bits + guard):
+    sub = EvalConfig(cfg.precision_bits + guard)
+
+    def core():
         sv = frac_to_mpf(s)
         zv = frac_to_mpf(z)
         q = mp.exp(-sv)
@@ -351,14 +338,13 @@ def hq_num(k: int, z, s, cfg: EvalConfig):
         f1 = mp.power((1 - qk1) / ((k + 1) * sv), mp.mpf(k) / (k + 1) * zv)
         f2 = mp.power(k * sv / (1 - qk), zv)
         val = pref * g1 * g2 * f1 * f2
-        if not isinstance(zv, mp.mpc):
-            val = mp.re(val) if isinstance(val, mp.mpc) else val
-        return _round_to(val, cfg)
+        return val if isinstance(zv, mp.mpc) else mp.re(val)
+    return evaluate(cfg, guard, core)
 
 
 def hq_table_eval(biv: BivariateExpansion, z, s, cfg: EvalConfig):
     """sum_{j<=j_max} sum_n a_{n,j} s^j z^n at numeric (z, s)."""
-    with mp.workprec(cfg.precision_bits + 32):
+    def core():
         sv = frac_to_mpf(s)
         zv = frac_to_mpf(z)
         tot = mp.mpf(0)
@@ -373,4 +359,5 @@ def hq_table_eval(biv: BivariateExpansion, z, s, cfg: EvalConfig):
                 zp = zp * zv
             tot += acc * sp
             sp = sp * sv
-        return _round_to(tot, cfg)
+        return tot
+    return evaluate(cfg, 32, core)

@@ -14,10 +14,12 @@ fixed point (_qprod_fixed) at w = prec + L + 2*bitlen(t+1) + 8 bits, within
 t(t+1) units of 2^-w, a relative error below 2^-(prec+8) (see
 _poch_inf_exps_core).
 
-All functions are pure. The shared state is two caches, each guarded by its
-lock: (q;q)_infinity values keyed by (s, precision), bounded by evicting the
-oldest entry (_bounded_put, which expansion's beta cache uses too), and the
-exact g_k series per k (_GK_SERIES_CACHE).
+Every numeric export returns through evaluate, which runs its core at
+precision_bits + guard bits and rounds once to precision_bits, under one lock
+(LOCK), since mpmath's working precision is process-wide. The shared state is
+two caches: the newest 256 (q;q)_infinity values in an lru_cache keyed by
+(s, route, working precision), and the longest exact g_k series per k
+(_GK_SERIES_CACHE, through keep_longest, which expansion's table cache uses too).
 """
 from __future__ import annotations
 
@@ -25,6 +27,8 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import ClassVar
 
 import mpmath as mp
 from mpmath.libmp import to_fixed
@@ -37,20 +41,19 @@ LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Numeric evaluation knobs: the target precision and a term safety cap.
+    """The target precision of a numeric evaluation, in bits.
 
     Sums and products stop below ``threshold`` = 2^-(precision_bits+32), which
-    follows the precision; sub-evaluations at more bits keep the caller's max_terms.
+    follows the precision. ``max_terms``, a class constant, caps the terms of
+    every sum and product loop (TermCapExceeded past it).
     """
 
     precision_bits: int = 256
-    max_terms: int = 2_000_000
+    max_terms: ClassVar[int] = 2_000_000
 
     def __post_init__(self):
         if self.precision_bits < 64:
             raise ValueError("precision_bits must be >= 64")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
 
     @property
     def threshold(self):
@@ -86,32 +89,42 @@ def mpf_to_fraction(x) -> Fraction:
 def format_real(x, cfg: EvalConfig) -> str:
     """Decimal string carrying exactly the number of reliable digits for cfg."""
     digits = max(1, int(cfg.precision_bits * 0.30103))
-    with mp.workprec(cfg.precision_bits + 8):
+    with LOCK, mp.workprec(cfg.precision_bits + 8):
         return mp.nstr(mp.mpf(x), digits)
 
 
-def _round_to(x, cfg: EvalConfig):
-    with mp.workprec(cfg.precision_bits):
-        return +x
+# mpmath's working precision is one process-wide setting, so this package changes
+# it only under LOCK (reentrant: cores call other exports); keep_longest stores
+# under it too
+LOCK = threading.RLock()
+
+
+def evaluate(cfg: EvalConfig, guard: int, core, *args):
+    """core(*args) run at cfg.precision_bits + guard bits and rounded once to
+    cfg.precision_bits; a tuple result is rounded element by element."""
+    with LOCK:
+        with mp.workprec(cfg.precision_bits + guard):
+            val = core(*args)
+        with mp.workprec(cfg.precision_bits):
+            return tuple(+v for v in val) if isinstance(val, tuple) else +val
+
+
+def keep_longest(cache: dict, key, length: int, size, build):
+    """cache[key] when size(cache[key]) >= length, else build(), which is stored
+    under key unless a value at least as long got there first."""
+    have = cache.get(key)
+    if have is None or size(have) < length:
+        have = build()
+        with LOCK:
+            prev = cache.get(key)
+            if prev is None or size(prev) < size(have):
+                cache[key] = have
+    return have
 
 
 # ---------------------------------------------------------------------------
 # infinite products
 # ---------------------------------------------------------------------------
-
-def _bounded_put(cache: dict, lock: threading.Lock, key, val, size: int) -> None:
-    """Store val under key (a value already there stays), then evict the oldest
-    entries until at most size remain; all under the cache's lock."""
-    with lock:
-        cache.setdefault(key, val)
-        while len(cache) > size:
-            del cache[next(iter(cache))]
-
-
-_QQ_CACHE: dict = {}
-_QQ_CACHE_SIZE = 256
-_QQ_LOCK = threading.Lock()
-
 
 def _qprod(x, r, n, prod=1):
     """prod * prod_{j<n} (1 - x r^j), returned with x r^n so that a later call resumes.
@@ -175,21 +188,19 @@ def _qq_inf_core(s, use_transform=None):
     For small s the Dedekind-eta transformation
     (q;q)_inf = sqrt(2 pi / s) exp(-pi^2/(6s) + s/24) prod_n (1 - e^{-4 pi^2 n / s})
     converges in O(1) factors; the direct product is used otherwise.
-    The cache keeps the latest _QQ_CACHE_SIZE values, evicting the oldest first.
     """
     if use_transform is None:
         use_transform = s < 3
-    key = (mp.mpf(s)._mpf_, bool(use_transform), mp.mp.prec)
-    hit = _QQ_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _qq_inf_cached(mp.mpf(s), bool(use_transform), mp.mp.prec)
+
+
+@lru_cache(maxsize=256)
+def _qq_inf_cached(s, use_transform, prec):
+    """_qq_inf_core's value; prec, the working precision it runs at, is part of the key."""
     if use_transform:
-        val = mp.sqrt(2 * mp.pi / s) * mp.exp(-mp.pi ** 2 / (6 * s) + s / 24) \
+        return mp.sqrt(2 * mp.pi / s) * mp.exp(-mp.pi ** 2 / (6 * s) + s / 24) \
             * _poch_inf_exps_core(1, 1, 4 * mp.pi ** 2 / s)
-    else:
-        val = _poch_inf_exps_core(1, 1, s)
-    _bounded_put(_QQ_CACHE, _QQ_LOCK, key, val, _QQ_CACHE_SIZE)
-    return val
+    return _poch_inf_exps_core(1, 1, s)
 
 
 def _cut_product(z, qv, cfg, cap_message):
@@ -209,25 +220,30 @@ def _cut_product(z, qv, cfg, cap_message):
     return prod
 
 
+def _unit_q(q, what):
+    """q at the working precision, checked to lie in 0 < q < 1."""
+    qv = frac_to_mpf(q)
+    if not (0 < qv < 1):
+        raise NonConvergent(f"{what} needs 0 < q < 1, got q={q}")
+    return qv
+
+
 def pochhammer_num(z, q, cfg: EvalConfig):
     """(z; q)_infinity by direct product, truncated by the tail threshold."""
-    guard = 48
-    with mp.workprec(cfg.precision_bits + guard):
-        qv = frac_to_mpf(q)
-        if not (0 < qv < 1):
-            raise NonConvergent(f"pochhammer product needs 0 < q < 1, got q={q}")
-        prod = _cut_product(frac_to_mpf(z), qv, cfg, "pochhammer_num exceeded max_terms")
-        return _round_to(prod, cfg)
+    def core():
+        qv = _unit_q(q, "pochhammer product")
+        return _cut_product(frac_to_mpf(z), qv, cfg, "pochhammer_num exceeded max_terms")
+    return evaluate(cfg, 48, core)
 
 
 def qq_infinity_num(s, cfg: EvalConfig, use_transform=None):
     """(q;q)_infinity at q = e^{-s}; transform route selectable for cross-checks."""
-    with mp.workprec(cfg.precision_bits + 48):
+    def core():
         sv = frac_to_mpf(s)
         if not sv > 0:
             raise NonConvergent("s must be positive")
-        val = _qq_inf_core(sv, use_transform)
-        return _round_to(val, cfg)
+        return _qq_inf_core(sv, use_transform)
+    return evaluate(cfg, 48, core)
 
 
 def _is_nonpositive_int(x, prec) -> bool:
@@ -249,18 +265,16 @@ def qsubz_num(x, q, cfg: EvalConfig):
     """(q;q)_x := (q;q)_infinity / (q^{x+1}; q)_infinity, valid for non-integer x."""
     if _is_nonpositive_int(_shift(x, 1), cfg.precision_bits):
         raise PoleAtNonpositive(f"(q;q)_x has a pole at x={x}")
-    guard = 48
-    with mp.workprec(cfg.precision_bits + guard):
-        qv = frac_to_mpf(q)
-        if not (0 < qv < 1):
-            raise NonConvergent(f"(q;q)_x needs 0 < q < 1, got q={q}")
-        s = -mp.log(qv)
-        num = _qq_inf_core(s)
+
+    def core():
+        qv = _unit_q(q, "(q;q)_x")
+        num = _qq_inf_core(-mp.log(qv))
         zpow = mp.power(qv, frac_to_mpf(x) + 1)
         den = _cut_product(zpow, qv, cfg, "qsubz_num exceeded max_terms")
         if den == 0:
             raise PoleAtNonpositive(f"(q;q)_x hit a vanishing factor at x={x}")
-        return _round_to(num / den, cfg)
+        return num / den
+    return evaluate(cfg, 48, core)
 
 
 def _shift(x, d):
@@ -273,11 +287,11 @@ def _shift(x, d):
 def gamma_q_num(x, q, cfg: EvalConfig):
     """Gamma_q(x) = (q;q)_{x-1} (1-q)^{1-x}, principal branch for the power."""
     guard = 48
-    with mp.workprec(cfg.precision_bits + guard):
-        sub = qsubz_num(_shift(x, -1), q, EvalConfig(cfg.precision_bits + guard, cfg.max_terms))
-        qv = frac_to_mpf(q)
-        val = sub * mp.power(1 - qv, 1 - frac_to_mpf(x))
-        return _round_to(val, cfg)
+
+    def core():
+        sub = qsubz_num(_shift(x, -1), q, EvalConfig(cfg.precision_bits + guard))
+        return sub * mp.power(1 - frac_to_mpf(q), 1 - frac_to_mpf(x))
+    return evaluate(cfg, guard, core)
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +313,18 @@ def theta_num(u, s, cfg: EvalConfig, use_inversion=None):
         raise NonConvergent("theta_num needs s > 0")
     if use_inversion is None:
         use_inversion = as_float(s) < 1
-    complex_u = isinstance(u, (complex, mp.mpc)) and mp.im(u) != 0
     guard = 48
-    for _ in range(2):
-        with mp.workprec(cfg.precision_bits + guard):
-            val, lost = _theta_sum(u, frac_to_mpf(s), cfg, use_inversion, complex_u)
-            val = mp.mpc(val) if complex_u else mp.re(val)
-        if lost <= guard - 16:
-            break
-        guard = lost + 48
-    return _round_to(val, cfg)
+    val, lost = evaluate(cfg, guard, _theta_sum, u, s, cfg, use_inversion)
+    if lost > guard - 16:
+        val, _ = evaluate(cfg, lost + guard, _theta_sum, u, s, cfg, use_inversion)
+    return val
 
 
-def _theta_sum(u, sv, cfg, use_inversion, complex_u):
-    """theta_num's sum at the ambient precision; returns (value, cancellation bits)."""
+def _theta_sum(u, s, cfg, use_inversion):
+    """theta_num's sum at the ambient precision: (value, mpc for complex u and real
+    otherwise; bits of cancellation, measured before the inversion's sqrt(pi/s))."""
+    complex_u = isinstance(u, (complex, mp.mpc)) and mp.im(u) != 0
+    sv, part = frac_to_mpf(s), mp.mpc if complex_u else mp.re
     thr = cfg.threshold
     if use_inversion:
         uv = frac_to_mpf(u)
@@ -334,7 +346,7 @@ def _theta_sum(u, sv, cfg, use_inversion, complex_u):
             n += 2
         else:
             raise TermCapExceeded("theta_num inversion exceeded max_terms")
-        return mp.sqrt(mp.pi / sv) * tot, _lost_bits(maxmag, tot)
+        return part(mp.sqrt(mp.pi / sv) * tot), _lost_bits(maxmag, tot)
     # e = e^{-s n^2} from two running multipliers: e *= d, d *= e^{-2s}
     e, d, d2 = mp.exp(-sv), mp.exp(-3 * sv), mp.exp(-2 * sv)
     maxmag = mp.mpf(1)
@@ -363,7 +375,7 @@ def _theta_sum(u, sv, cfg, use_inversion, complex_u):
             n += 1
         else:
             raise TermCapExceeded("theta_num direct exceeded max_terms")
-        return tot, _lost_bits(maxmag, tot)
+        return part(tot), _lost_bits(maxmag, tot)
     uv = frac_to_mpf(u)
     tot = mp.mpf(1)
     while True:
@@ -378,7 +390,7 @@ def _theta_sum(u, sv, cfg, use_inversion, complex_u):
         n += 1
         if n > cfg.max_terms:
             raise TermCapExceeded("theta_num direct exceeded max_terms")
-    return tot, _lost_bits(maxmag, tot)
+    return part(tot), _lost_bits(maxmag, tot)
 
 
 def _lost_bits(maxmag, tot):
@@ -443,7 +455,7 @@ def _insum_guard(k, sf):
     return int(1.4427 / (k * (k + 1) * sf)) + 96
 
 
-def _In_bins(k, n, s, cfg, seeds):
+def _In_bins(k, n, s, cfg):
     """The I_n m-loop, run once for every odd n; returns (bins, max term magnitude).
 
     Term m of I_n is e^{i pi m(n+k+1)/(k+1)} times the real
@@ -454,6 +466,8 @@ def _In_bins(k, n, s, cfg, seeds):
     comes from two running multipliers: c_{m+1} - c_m = k(2km+2k+1)/(2(k+1))
     grows by k^2/(k+1) per step. n only names the I_n in the max_terms error.
     """
+    seeds = _pm_seeds(k, s)
+
     def terms():
         qc = mp.mpf(1)
         dqc = mp.exp(-s * frac_to_mpf(Fraction(k * (2 * k + 1), 2 * (k + 1))))
@@ -484,41 +498,28 @@ def I_n_num(k, n, s, cfg: EvalConfig):
         raise ValueError("I_n is defined for odd n")
     if not as_float(s) > 0:
         raise NonConvergent("I_n needs s > 0")
-    with mp.workprec(cfg.precision_bits + _insum_guard(k, as_float(s))):
-        sv = frac_to_mpf(s)
-        bins, _ = _In_bins(k, n, sv, cfg, _pm_seeds(k, sv))
-        return _round_to(_In_from_bins(k, n, bins), cfg)
+
+    def core():
+        bins, _ = _In_bins(k, n, frac_to_mpf(s), cfg)
+        return _In_from_bins(k, n, bins)
+    return evaluate(cfg, _insum_guard(k, as_float(s)), core)
 
 
-_GK_SERIES_CACHE: dict = {}
-_GK_SERIES_LOCK = threading.Lock()
-
-
-def _gk_series(k, order):
-    with _GK_SERIES_LOCK:
-        have = _GK_SERIES_CACHE.get(k)
-    if have is None or have.truncation_order < order:
-        have = qseries.gk_series_andrews(k, order)
-        with _GK_SERIES_LOCK:
-            prev = _GK_SERIES_CACHE.get(k)
-            if prev is None or prev.truncation_order < have.truncation_order:
-                _GK_SERIES_CACHE[k] = have
-    return have
+_GK_SERIES_CACHE: dict = {}  # k -> the longest exact g_k series computed
 
 
 def _gk_series_core(k, s, cfg):
     """sum_{e <= order} c_e e^{-s e}, order ~ prec/s; the cached series may be longer."""
+    s = frac_to_mpf(s)
     order = int((mp.mp.prec + 16) * LN2 / float(s)) + 16
-    ser = _gk_series(k, order)
+    ser = keep_longest(_GK_SERIES_CACHE, k, order, lambda series: series.truncation_order,
+                       lambda: qseries.gk_series_andrews(k, order))
     x = mp.exp(-s)
     acc = mp.mpf(0)
     for e, c in ser.items():
         if e > order:
             break
-        if isinstance(c, Fraction):
-            acc += frac_to_mpf(c) * mp.power(x, e)
-        else:
-            acc += c * mp.power(x, e)
+        acc += c * mp.power(x, e)
     return acc
 
 
@@ -528,10 +529,11 @@ def _gk_insum_core(k, s, cfg):
     numerically stable for small s because the e^{pi^2/(6(k+1)s)}-scale
     cancellation of the plain m-sum never appears. One m-loop (_In_bins) serves
     every odd n."""
+    s = frac_to_mpf(s)
     c = mp.pi ** 2 / (2 * k * (k + 1) * s)
     tot = mp.mpf(0)
     thr = cfg.threshold
-    bins, mm = _In_bins(k, 1, s, cfg, _pm_seeds(k, s))
+    bins, mm = _In_bins(k, 1, s, cfg)
     imax = max(mp.mpf(1), mm)
     n = 1
     while n < 200:
@@ -550,6 +552,7 @@ def _gk_direct_core(k, s, cfg):
     """Plain theta-sum m-loop with each theta evaluated by its direct bilateral sum;
     kept as the cross-check oracle for the regrouped route (it carries the full
     m-sum cancellation, so the caller must provide matching guard bits)."""
+    s = frac_to_mpf(s)
     t_base = k * (k + 1) // 2
     width = math.sqrt((mp.mp.prec + 16) * LN2 / float(s) / t_base) + 2
     d_step = mp.exp(-2 * s * t_base)
@@ -591,18 +594,15 @@ def gk_num(k, s, cfg: EvalConfig, route: str = "auto"):
     if route == "auto":
         route = "series" if sf >= 1 else "insum"
     if route == "series":
-        guard = 64
-        with mp.workprec(cfg.precision_bits + guard):
-            return _round_to(_gk_series_core(k, frac_to_mpf(s), cfg), cfg)
-    if route == "insum":
-        with mp.workprec(cfg.precision_bits + _insum_guard(k, sf)):
-            return _round_to(_gk_insum_core(k, frac_to_mpf(s), cfg), cfg)
-    if route == "direct":
-        guard = int(1.4427 * math.pi ** 2 / (6 * (k + 1) * sf)
-                    + 1.4427 / (k * (k + 1) * sf)) + 96
-        with mp.workprec(cfg.precision_bits + guard):
-            return _round_to(_gk_direct_core(k, frac_to_mpf(s), cfg), cfg)
-    raise ValueError(f"unknown route {route!r}")
+        core, guard = _gk_series_core, 64
+    elif route == "insum":
+        core, guard = _gk_insum_core, _insum_guard(k, sf)
+    elif route == "direct":
+        core, guard = _gk_direct_core, int(1.4427 * math.pi ** 2 / (6 * (k + 1) * sf)
+                                           + 1.4427 / (k * (k + 1) * sf)) + 96
+    else:
+        raise ValueError(f"unknown route {route!r}")
+    return evaluate(cfg, guard, core, k, s, cfg)
 
 
 def relative_error_num(k, s, cfg: EvalConfig, route: str = "auto"):
@@ -616,10 +616,11 @@ def gk_and_relative_error_num(k, s, cfg: EvalConfig, route: str = "auto"):
     """(g_k(e^{-s}), R_k(e^{-s})) to the configured precision from one g_k
     evaluation, made at precision_bits + 32 bits because R_k needs them."""
     check_k(k)
-    g = gk_num(k, s, EvalConfig(cfg.precision_bits + 32, cfg.max_terms), route=route)
-    with mp.workprec(cfg.precision_bits + 64):
+    g = gk_num(k, s, EvalConfig(cfg.precision_bits + 32), route=route)
+
+    def core():
         sv = frac_to_mpf(s)
         ratio = _qq_inf_core(k * sv) / _qq_inf_core((k + 1) * sv)
-        val = g * ratio * mp.sqrt(k * (k + 1) * sv / (2 * mp.pi)) \
+        return g, g * ratio * mp.sqrt(k * (k + 1) * sv / (2 * mp.pi)) \
             * mp.exp(mp.pi ** 2 / (2 * k * (k + 1) * sv))
-        return _round_to(g, cfg), _round_to(val, cfg)
+    return evaluate(cfg, 64, core)

@@ -50,7 +50,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import InvalidRho, NonConvergent, TermCapExceeded, check_k
-from .hires import EvalConfig, as_float, frac_to_mpf, _round_to
+from .hires import EvalConfig, as_float, evaluate, frac_to_mpf
 
 LN2 = math.log(2.0)
 
@@ -220,9 +220,7 @@ def wright_phi_moment(j: int, params: WrightParams, z, cfg: EvalConfig):
     if guard > 1 << 22:
         raise NonConvergent("direct summation would need over 4M guard bits; "
                             "use W_j_num (quadrature route) for this argument")
-    with mp.workprec(cfg.precision_bits + guard):
-        val, _ = _phi_series_core(params, z, j, cfg)
-        return _round_to(val, cfg)
+    return evaluate(cfg, guard, _phi_series_core, params, z, j, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +235,13 @@ def b_k_coeff(k: int, j: int, cfg: EvalConfig):
         raise ValueError("j must be >= 1")
     if j % k == 0:
         return mp.mpf(0)
-    with mp.workprec(cfg.precision_bits + 32):
+
+    def core():
         sv = _sinpi_frac(Fraction(j * (k - 1), k))
         sgn = -1 if j % 2 == 0 else 1
-        val = mp.mpf(k + 1) / (k * mp.pi * mp.factorial(j)) * sgn * sv \
+        return mp.mpf(k + 1) / (k * mp.pi * mp.factorial(j)) * sgn * sv \
             * mp.gamma(frac_to_mpf(Fraction(j * (k + 1), k)))
-        return _round_to(val, cfg)
+    return evaluate(cfg, 32, core)
 
 
 def re_phi_expansion(rho, z, L: int, cfg: EvalConfig):
@@ -259,7 +258,8 @@ def re_phi_expansion(rho, z, L: int, cfg: EvalConfig):
         raise ValueError("L must be >= 1")
     if not as_float(z) > 0:
         raise ValueError("expansion is implemented on the ray z > 0")
-    with mp.workprec(cfg.precision_bits + 32):
+
+    def core():
         zv = frac_to_mpf(z)
         tot = 1 / (2 * frac_to_mpf(rho))
         for ell in range(1, L):
@@ -271,7 +271,8 @@ def re_phi_expansion(rho, z, L: int, cfg: EvalConfig):
             term = sgn / mp.factorial(ell) * mp.gamma(frac_to_mpf(Fraction(ell) / rho)) \
                 * mp.power(zv, -frac_to_mpf(Fraction(ell) / rho)) * sv
             tot += term / (2 * mp.pi * frac_to_mpf(rho))
-        return _round_to(tot, cfg)
+        return tot
+    return evaluate(cfg, 32, core)
 
 
 def W0_expansion(k: int, L: int, w, cfg: EvalConfig):
@@ -283,15 +284,17 @@ def Wj_expansion(k: int, j: int, L: int, w, cfg: EvalConfig):
     """[j = 0] (k+1)/k + sum_{l=1}^{L-1} (-l(k+1)/k)^j b_k(l) w^{-l(k+1)/k}, the
     j-th moment expansion; remainder O(w^{-L(k+1)/k})."""
     check_k(k)
-    with mp.workprec(cfg.precision_bits + 32):
+
+    def core():
         tot = mp.mpf(k + 1) / k if j == 0 else mp.mpf(0)
         wv = frac_to_mpf(w)
         for ell in range(1, L):
-            b = b_k_coeff(k, ell, EvalConfig(cfg.precision_bits + 32, cfg.max_terms))
+            b = b_k_coeff(k, ell, EvalConfig(cfg.precision_bits + 32))
             if b != 0:
                 e = frac_to_mpf(Fraction(ell * (k + 1), k))
                 tot += mp.power(-e, j) * b * mp.power(wv, -e)
-        return _round_to(tot, cfg)
+        return tot
+    return evaluate(cfg, 32, core)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +340,12 @@ def _quad_cut(k: int, bell, m: float) -> float:
         big_m = sum(c * (d / (math.e * m)) ** d for d, c in enumerate(bell) if c)
     m_s = (mp.mp.prec + 32) * LN2 + math.log(max(big_m, 1.0))
     return (m_s / m) ** (1.0 / (k + 1))
+
+
+def _Wj_series_core(k: int, j: int, w, cfg: EvalConfig):
+    rho_f = Fraction(k, k + 1)
+    z = frac_to_mpf(w) * mp.expjpi(-frac_to_mpf(rho_f))
+    return 2 * mp.re(_phi_series_core(WrightParams(rho_f), z, j, cfg)[0])
 
 
 def _Wj_quad_core(k: int, j: int, w, cfg: EvalConfig):
@@ -386,16 +395,13 @@ def W_j_num(k: int, j: int, w, cfg: EvalConfig, route: str = "auto"):
         raise ValueError("j must be >= 0")
     if not as_float(w) > 0:
         raise ValueError("W_j is evaluated for w > 0")
-    rho_f = Fraction(k, k + 1)
-    bits = _phi_cancel_bits(rho_f, as_float(w))
+    bits = _phi_cancel_bits(Fraction(k, k + 1), as_float(w))
     if route == "auto":
         route = "series" if bits + cfg.precision_bits <= 2600 else "quadrature"
     if route == "series":
-        with mp.workprec(cfg.precision_bits + bits + 64):
-            z = frac_to_mpf(w) * mp.expjpi(-frac_to_mpf(rho_f))
-            val, _ = _phi_series_core(WrightParams(rho_f), z, j, cfg)
-            return _round_to(2 * mp.re(val), cfg)
-    if route == "quadrature":
-        with mp.workprec(cfg.precision_bits + 64):
-            return _round_to(_Wj_quad_core(k, j, w, cfg), cfg)
-    raise ValueError(f"unknown route {route!r}")
+        core, guard = _Wj_series_core, bits + 64
+    elif route == "quadrature":
+        core, guard = _Wj_quad_core, 64
+    else:
+        raise ValueError(f"unknown route {route!r}")
+    return evaluate(cfg, guard, core, k, j, w, cfg)

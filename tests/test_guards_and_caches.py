@@ -1,5 +1,7 @@
 """Guard bits sized from the size of the terms: Wright's phi for rho <= 0 and the
-beta_k(j) sum; and the bound on the beta cache."""
+beta_k(j) sum; the class-wide term cap; and the bounded and shared caches."""
+import random
+import sys
 import threading
 from fractions import Fraction as F
 
@@ -67,15 +69,17 @@ class TestBetaGuard:
 
 
 class TestSubConfigs:
-    """A sub-evaluation at more bits keeps the caller's max_terms."""
+    """A sub-evaluation at more bits keeps the class-wide max_terms."""
 
-    def test_hq_num(self):
+    def test_hq_num(self, monkeypatch):
+        monkeypatch.setattr(EvalConfig, "max_terms", 5)
         with pytest.raises(TermCapExceeded):
-            hq_num(3, F(1, 3), "0.1", EvalConfig(128, max_terms=5))
+            hq_num(3, F(1, 3), "0.1", EvalConfig(128))
 
-    def test_gamma_q_num(self):
+    def test_gamma_q_num(self, monkeypatch):
+        monkeypatch.setattr(EvalConfig, "max_terms", 5)
         with pytest.raises(TermCapExceeded):
-            gamma_q_num(F(5, 2), "0.6", EvalConfig(128, max_terms=5))
+            gamma_q_num(F(5, 2), "0.6", EvalConfig(128))
 
 
 class TestGkSeriesOrder:
@@ -92,31 +96,60 @@ class TestGkSeriesOrder:
 
 class TestBoundedCaches:
     def test_beta_cache_keeps_the_newest(self):
-        expansion._BETA_CACHE.clear()
+        cache = expansion._beta_at
+        cache.cache_clear()
+        for p in range(64, 64 + cache.cache_info().maxsize + 30):
+            newest = expansion.beta_coeff(2, 1, EvalConfig(p))
+        hits = cache.cache_info().hits
+        assert expansion.beta_coeff(2, 1, EvalConfig(p)) is newest
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize == 256
+        assert info.hits == hits + 1
+        expansion.beta_coeff(2, 1, EvalConfig(64))  # the oldest was evicted
+        assert cache.cache_info().misses == info.misses + 1
+
+    def test_caches_from_threads(self, monkeypatch):
+        """Four threads fill every cache at once, each over the same inputs in its
+        own order: every result equals the serial one, and the per-k caches end
+        with the longest value requested."""
+        cfg = EvalConfig(128)
+        calls = ([(expansion.beta_coeff, (3, j, cfg)) for j in range(1, 13)]
+                 + [(hires.qq_infinity_num, (s, cfg)) for s in ("0.1", "0.5", "2", "4")]
+                 + [(expansion.hq_bivariate, (k, j)) for k in (2, 3) for j in (3, 6, 9)]
+                 + [(gk_num, (k, s, cfg, "series")) for k in (2, 3) for s in ("1", "1.5", "3")])
+
+        def value(fn, args):
+            got = fn(*args)
+            return got.to_json() if isinstance(got, expansion.BivariateExpansion) else got._mpf_
+
+        def empty_caches():
+            for cached in (expansion._beta_at, expansion.beta_rational, hires._qq_inf_cached):
+                cached.cache_clear()
+            monkeypatch.setattr(expansion, "_BIV_CACHE", {})
+            monkeypatch.setattr(hires, "_GK_SERIES_CACHE", {})
+
+        empty_caches()
+        want = {i: value(*call) for i, call in enumerate(calls)}
+        longest = {k: ser.truncation_order for k, ser in hires._GK_SERIES_CACHE.items()}
+        empty_caches()
+        results = {}
+
+        def run(seed):
+            order = random.Random(seed).sample(range(len(calls)), len(calls))
+            results[seed] = {i: value(*calls[i]) for i in order}
+
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            for p in range(64, 64 + expansion._BETA_CACHE_SIZE + 30):
-                newest = expansion.beta_coeff(2, 1, EvalConfig(p))
-            assert len(expansion._BETA_CACHE) == expansion._BETA_CACHE_SIZE
-            assert (2, 1, 64) not in expansion._BETA_CACHE
-            assert list(expansion._BETA_CACHE.values())[-1] is newest
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
         finally:
-            expansion._BETA_CACHE.clear()
-
-    def test_bounded_put_from_threads(self):
-        cache, lock = {}, threading.Lock()
-
-        def fill(base):
-            for i in range(500):
-                hires._bounded_put(cache, lock, (base, i), i, 64)
-
-        threads = [threading.Thread(target=fill, args=(b,)) for b in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(cache) == 64
-
-    def test_existing_value_stays(self):
-        cache, lock = {"a": 1}, threading.Lock()
-        hires._bounded_put(cache, lock, "a", 2, 4)
-        assert cache == {"a": 1}
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {seed: want for seed in range(4)}
+        assert {k: biv.j_max for k, biv in expansion._BIV_CACHE.items()} == {2: 9, 3: 9}
+        assert {k: ser.truncation_order
+                for k, ser in hires._GK_SERIES_CACHE.items()} == longest

@@ -17,8 +17,6 @@ class TestEvalConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             EvalConfig(32)
-        with pytest.raises(ValueError):
-            EvalConfig(128, max_terms=0)
 
     def test_default_threshold_tracks_precision(self):
         assert EvalConfig(128).threshold == mp.mpf(2) ** (-160)
@@ -175,12 +173,16 @@ class TestQProductKernel:
         assert close_bits(got, ref, 240, scale=ref)
 
     def test_qq_cache_is_bounded(self):
+        cache = hires._qq_inf_cached
         with mp.workprec(128):
-            for i in range(hires._QQ_CACHE_SIZE + 20):
+            for i in range(cache.cache_info().maxsize + 20):
                 hires._qq_inf_core(mp.mpf(1) + i * mp.mpf(2) ** -40)
             newest = hires._qq_inf_core(mp.mpf(7))
-        assert len(hires._QQ_CACHE) <= hires._QQ_CACHE_SIZE
-        assert list(hires._QQ_CACHE.values())[-1] is newest
+            hits = cache.cache_info().hits
+            assert hires._qq_inf_core(mp.mpf(7)) is newest
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize == 256
+        assert info.hits == hits + 1
 
 
 class TestGk:

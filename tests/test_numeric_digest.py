@@ -4,7 +4,8 @@ Each grid runs at 64, 128 and 192 bits and hashes the exact mpf/mpc of every
 result, or the name of the error it raises, so a refactor of the input
 conversions, the product loops or the Wright series entry shows up as a changed
 digest. The inputs are the kinds every export accepts: int, str, float,
-Fraction, complex and mpc."""
+Fraction, complex and mpc. The same grids show that every export rounds once to
+its precision, whatever the caller's mpmath precision."""
 from __future__ import annotations
 
 import hashlib
@@ -13,6 +14,7 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
+from qasymp import expansion, hires
 from qasymp.errors import QAsympError
 from qasymp.expansion import (expansion_eval, hq_bivariate, hq_num, hq_table_eval,
                               zagier_c1, zagier_c2)
@@ -189,3 +191,39 @@ def test_frozen_digest(name):
     rows = grid()
     assert len(rows) == size
     assert _digest(rows) == want
+
+
+def _parts(v):
+    """The mpf parts of a result: each part of an mpc, each element of a tuple."""
+    if isinstance(v, tuple):
+        return [x for e in v for x in _parts(e)]
+    if isinstance(v, mp.mpc):
+        return [v.real, v.imag]
+    return [v]
+
+
+def _results(rows, ambient):
+    """(precision_bits, result or error name) per row, computed from empty caches
+    inside mp.workprec(ambient)."""
+    hires._qq_inf_cached.cache_clear()
+    expansion._beta_at.cache_clear()
+    out = []
+    with mp.workprec(ambient):
+        for key, fn in rows:
+            try:
+                out.append((key[0], fn()))
+            except (QAsympError, ValueError) as exc:
+                out.append((key[0], type(exc).__name__))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_rounded_once_at_any_ambient_precision(name):
+    rows = FROZEN[name][0]()
+    low, high = _results(rows, 53), _results(rows, 700)
+    for p, got in low:
+        if not isinstance(got, str):
+            assert all(x._mpf_[3] <= p for x in _parts(got)), (p, got)
+    # compare the values, not repr(key): an mpc key prints by mp.dps
+    assert [(p, got if isinstance(got, str) else _canon(got)) for p, got in low] \
+        == [(p, got if isinstance(got, str) else _canon(got)) for p, got in high]
