@@ -1,7 +1,7 @@
 """Wright's generalized Bessel function phi(rho, beta; z) = sum z^n/(n! Gamma(beta - rho n)),
 its moments, the real combinations W_j, and their large-argument expansions.
 
-Two evaluation routes for the real parts:
+Three evaluation routes for the real parts:
 
 * direct series summation (`wright_phi`, `wright_phi_moment`) -- the imaginary
   part of phi on the relevant ray grows like exp(c w^{k+1}) while the real part
@@ -32,7 +32,13 @@ Two evaluation routes for the real parts:
   |F(x) e^{-u}| <= M_j e^{-m v^{k+1}}, with m = min(cos psi, -cos(2 pi rho + rho psi))
   the decay rate of the ray and M_j = sup_y B_j(y) e^{-m y} (M_0 = 2), so the
   integral is cut at the V where the tail bound M_j e^{-m V^{k+1}}/(m V^{k+1})
-  falls below 2^-(working bits + 32).
+  falls below 2^-(working bits + 32);
+
+* the large-w expansion [j = 0](k+1)/k + sum_l (-l(k+1)/k)^j b_k(l) w^{-l(k+1)/k}
+  (`Wj_expansion` at a fixed L; `W_j_num`'s asymptotic route sums it to the
+  working precision, which its smallest term, about exp(-peak), allows where the
+  series' cancellation is deep). Series and quadrature pin each other below
+  `W_j_num`'s first switch, expansion and quadrature above it.
 
 rho and beta are taken as exact Fractions so that the poles of Gamma(beta - rho n)
 (terms skipped exactly) are detected symbolically, never by floating comparison.
@@ -50,7 +56,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import InvalidRho, NonConvergent, TermCapExceeded, check_k
-from .hires import EvalConfig, as_float, evaluate, frac_to_mpf
+from .hires import EvalConfig, as_float, evaluate, frac_to_mpf, mpf_to_fraction
 
 LN2 = math.log(2.0)
 
@@ -131,26 +137,30 @@ def _rgamma_stream(rho: Fraction, beta: Fraction):
         yield val
 
 
-def _phi_log_peak(rho: Fraction, zabs: float) -> float:
-    """Natural log of the largest term of the phi series,
-    about (1-rho) |rho|^{rho/(1-rho)} |z|^{1/(1-rho)}."""
+def _phi_log_peak(rho: Fraction, zabs) -> float:
+    """Natural log of the largest term of the phi series, about
+    (1-rho) |rho|^{rho/(1-rho)} |z|^{1/(1-rho)}: math.inf where log|z| of the exact
+    |z| puts it past the float range, the float power below that."""
     r = float(rho)
-    return (1 - r) * (abs(r) ** (r / (1 - r))) * zabs ** (1.0 / (1 - r))
+    f = mpf_to_fraction(zabs) if isinstance(zabs, mp.mpf) else _as_fraction(zabs)
+    if f and math.log(f.numerator) - math.log(f.denominator) > 700 * (1 - r):
+        return math.inf
+    return (1 - r) * (abs(r) ** (r / (1 - r))) * as_float(zabs) ** (1.0 / (1 - r))
 
 
-def _phi_cancel_bits(rho: Fraction, zabs: float) -> int:
+def _phi_cancel_bits(rho: Fraction, zabs) -> int:
     """Guard bits for direct summation: the max term is about exp(peak)
-    (_phi_log_peak) times the real part.
+    (_phi_log_peak) times the real part; at most 2^62, beyond any precision.
 
     For rho <= 0, phi is an entire function of order 1/(1+|rho|) that grows like
     exp(peak) along one direction and can be as small as exp(-peak) along
     another (e^z/Gamma(beta) at rho = 0), so the guard covers twice the peak."""
-    if zabs <= 1:
+    if as_float(zabs) <= 1:
         return 16
     peak = _phi_log_peak(rho, zabs)
     if rho <= 0:
         peak *= 2
-    return int(peak * 1.4427) + 16
+    return int(min(peak * 1.4427, 2.0 ** 62)) + 16
 
 
 def _phi_peak_index(rho: Fraction, zabs: float) -> float:
@@ -173,7 +183,7 @@ def _phi_series_core(params: WrightParams, z, j: int, cfg: EvalConfig):
     cut = cfg.threshold
     if rho <= 0:
         # the sum may be as small as exp(-peak): cut the tail relative to that
-        cut = cut * mp.exp(-_phi_log_peak(rho, float(zabs)))
+        cut = cut * mp.exp(-_phi_log_peak(rho, zabs))
     tot = mp.mpc(0) if isinstance(zc, mp.mpc) else mp.mpf(0)
     power = mp.mpf(1)
     maxmag = mp.mpf(0)
@@ -216,10 +226,10 @@ def wright_phi_moment(j: int, params: WrightParams, z, cfg: EvalConfig):
     """phi_j(rho, beta; z) = sum_m m^j z^m/(m! Gamma(beta - rho m)); phi_0 = phi."""
     if j < 0:
         raise ValueError("moment order must be >= 0")
-    guard = _phi_cancel_bits(params.rho, float(abs(frac_to_mpf(z)))) + 64
+    guard = _phi_cancel_bits(params.rho, abs(frac_to_mpf(z))) + 64
     if guard > 1 << 22:
-        raise NonConvergent("direct summation would need over 4M guard bits; "
-                            "use W_j_num (quadrature route) for this argument")
+        raise NonConvergent("direct summation would need over 4M guard bits; use W_j_num "
+                            "(asymptotic or quadrature route) for the real part")
     return evaluate(cfg, guard, _phi_series_core, params, z, j, cfg)[0]
 
 
@@ -280,21 +290,22 @@ def W0_expansion(k: int, L: int, w, cfg: EvalConfig):
     return Wj_expansion(k, 0, L, w, cfg)
 
 
+def _expansion_terms(k: int, j: int, w):
+    """[j = 0] (k+1)/k, then (-e)^j b_k(l) w^{-e}, e = l(k+1)/k, for l = 1, 2, ...:
+    the terms of the large-w expansion of W_j, b_k(l) rounded to the ambient precision."""
+    yield mp.mpf(k + 1) / k if j == 0 else mp.mpf(0)
+    wv = frac_to_mpf(w)
+    for ell in itertools.count(1):
+        b = b_k_coeff(k, ell, EvalConfig(mp.mp.prec))
+        e = frac_to_mpf(Fraction(ell * (k + 1), k))
+        yield mp.power(-e, j) * b * mp.power(wv, -e) if b else b
+
+
 def Wj_expansion(k: int, j: int, L: int, w, cfg: EvalConfig):
     """[j = 0] (k+1)/k + sum_{l=1}^{L-1} (-l(k+1)/k)^j b_k(l) w^{-l(k+1)/k}, the
     j-th moment expansion; remainder O(w^{-L(k+1)/k})."""
     check_k(k)
-
-    def core():
-        tot = mp.mpf(k + 1) / k if j == 0 else mp.mpf(0)
-        wv = frac_to_mpf(w)
-        for ell in range(1, L):
-            b = b_k_coeff(k, ell, EvalConfig(cfg.precision_bits + 32))
-            if b != 0:
-                e = frac_to_mpf(Fraction(ell * (k + 1), k))
-                tot += mp.power(-e, j) * b * mp.power(wv, -e)
-        return tot
-    return evaluate(cfg, 32, core)
+    return evaluate(cfg, 32, lambda: sum(itertools.islice(_expansion_terms(k, j, w), max(L, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -383,25 +394,48 @@ def _Wj_quad_core(k: int, j: int, w, cfg: EvalConfig):
     return base + mp.im(val) / mp.pi
 
 
+def _Wj_asymptotic_core(k: int, j: int, w, cfg: EvalConfig):
+    """The large-w expansion summed to its first term below 2^-(working bits)
+    max(1, |sum|). Its terms shrink up to about l* = (k w/(k+1))^{k+1}, where the
+    smallest is about exp(-l*/k) = exp(-peak) (Dingle's rule; peak as in
+    _phi_log_peak), and the exponentially small part it leaves out is of that
+    size too. Far before l* the terms still fall geometrically, so the remainder
+    is about the first omitted term, below the stop. Past l* first, TermCapExceeded."""
+    eps = mp.ldexp(1, -mp.mp.prec)
+    n_cap = min((k * frac_to_mpf(w) / (k + 1)) ** (k + 1), cfg.max_terms)
+    tot = 0
+    for ell, t in enumerate(_expansion_terms(k, j, w)):
+        tot += t
+        if t and abs(t) < eps * max(1, abs(tot)):
+            return tot
+        if ell > n_cap:
+            raise TermCapExceeded(f"W_j expansion stopped shrinking above 2^-{mp.mp.prec}")
+
+
 def W_j_num(k: int, j: int, w, cfg: EvalConfig, route: str = "auto"):
     """W_j(w) = 2 Re phi_j(k/(k+1), 1; e^{-i pi k/(k+1)} w) for w > 0.
 
-    Route "series" sums the phi_j series with guard bits covering the
-    exp(w^{k+1} k^k/(k+1)^{k+1}) cancellation; route "quadrature" uses the
-    reflected integral (no cancellation, any w). "auto" picks by cost.
+    Route "series" sums the phi_j series with bits = _phi_cancel_bits guard bits for
+    its cancellation; "quadrature" uses the reflected integral (no cancellation, any
+    w); "asymptotic" sums the large-w expansion, whose smallest term is about
+    2^-bits. "auto" takes the series while bits + p <= 2600, else the expansion when
+    bits >= 2(p + 64) + 16 (so it stops far before its smallest term), else quadrature.
+    Series and quadrature pin each other below the first switch, expansion and
+    quadrature above it.
     """
     check_k(k)
     if j < 0:
         raise ValueError("j must be >= 0")
     if not as_float(w) > 0:
         raise ValueError("W_j is evaluated for w > 0")
-    bits = _phi_cancel_bits(Fraction(k, k + 1), as_float(w))
+    bits = _phi_cancel_bits(Fraction(k, k + 1), w)
+    p = cfg.precision_bits
     if route == "auto":
-        route = "series" if bits + cfg.precision_bits <= 2600 else "quadrature"
-    if route == "series":
-        core, guard = _Wj_series_core, bits + 64
-    elif route == "quadrature":
-        core, guard = _Wj_quad_core, 64
-    else:
+        route = "series" if bits + p <= 2600 else \
+            "asymptotic" if bits >= 2 * (p + 64) + 16 else "quadrature"
+    cores = {"series": (_Wj_series_core, bits + 64), "quadrature": (_Wj_quad_core, 64),
+             "asymptotic": (_Wj_asymptotic_core, 64)}
+    if route not in cores:
         raise ValueError(f"unknown route {route!r}")
+    core, guard = cores[route]
     return evaluate(cfg, guard, core, k, j, w, cfg)
