@@ -3,15 +3,20 @@ its moments, the real combinations W_j, and their large-argument expansions.
 
 Three evaluation routes for the real parts:
 
-* direct series summation (`wright_phi`, `wright_phi_moment`) -- the imaginary
-  part of phi on the relevant ray grows like exp(c w^{k+1}) while the real part
-  stays O(1), so direct summation needs guard bits proportional to w^{k+1}.
-  The factors 1/Gamma(beta - rho n), rho = p/q, come from one chain per
-  residue of n mod q: 1/Gamma(x - p) = (x-1)...(x-p)/Gamma(x) for p > 0 and
-  1/Gamma(x + |p|) = 1/(x (x+1)...(x+|p|-1) Gamma(x)) for p <= 0, an exact
-  rational factor per step; `reciprocal_gamma` runs only where a chain starts
-  or restarts after an exact zero (a pole), and per term for a rho whose
-  numerator or denominator exceeds 64, where chains would cost more;
+* direct series summation -- the imaginary part of phi on the relevant ray
+  grows like exp(c w^{k+1}) while the real part stays O(1), so direct summation
+  needs guard bits proportional to w^{k+1}. The factors 1/Gamma(beta - rho n),
+  rho = p/q, come from one chain per residue of n mod q: 1/Gamma(x - p) =
+  (x-1)...(x-p)/Gamma(x) for p > 0 and 1/Gamma(x + |p|) =
+  1/(x (x+1)...(x+|p|-1) Gamma(x)) for p <= 0, an exact rational factor per step
+  (_chain_factor); `reciprocal_gamma` runs only where a chain starts or restarts
+  after an exact zero (a pole). `wright_phi`/`wright_phi_moment` sum in mpc,
+  and per term for a rho whose numerator or denominator exceeds 64, where chains
+  would cost more. `W_j_num`'s series route sums on the ray, where
+  z^{k+1} = (-1)^k w^{k+1} is an exact rational: each residue chain of the whole
+  term is a fixed phase times a real chain with an exact integer step ratio, run
+  over Python integers in fixed point (_Wj_series_core); the mpc loop is its
+  independent reference;
 
 * an analytically reflected integral (used by `W_j_num` for large w): with
   S_j(W) = sum_{m>=1} m^j Gamma(rho m) W^m / m! one has, for z > 0,
@@ -54,6 +59,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from .errors import InvalidRho, NonConvergent, TermCapExceeded, check_k
 from .hires import EvalConfig, as_float, evaluate, frac_to_mpf, mpf_to_fraction
@@ -103,6 +109,15 @@ def reciprocal_gamma(x: Fraction):
 _CHAIN_MAX = 64
 
 
+def _chain_factor(xd: int, d: int, p: int) -> tuple[int, int]:
+    """(num, den) with num/den = Gamma(x)/Gamma(x - p) for x = xd/d: the exact
+    factor (x-1)...(x-p) = prod (xd - i d)/d^p for p > 0, and
+    1/(x (x+1)...(x+|p|-1)) = d^|p|/prod (xd + i d) for p <= 0."""
+    if p > 0:
+        return math.prod(range(xd - d, xd - p * d - 1, -d)), d ** p
+    return d ** -p, math.prod(range(xd, xd - p * d, d))
+
+
 def _rgamma_stream(rho: Fraction, beta: Fraction):
     """Yield 1/Gamma(beta - rho n) for n = 0, 1, 2, ... at the ambient precision.
 
@@ -120,7 +135,7 @@ def _rgamma_stream(rho: Fraction, beta: Fraction):
         for n in itertools.count():
             yield reciprocal_gamma(beta - rho * n)
     d = math.lcm(q, beta.denominator)
-    beta_d, rho_d, d_p = int(beta * d), int(rho * d), d ** abs(p)
+    beta_d, rho_d = int(beta * d), int(rho * d)
     chains = [None] * q
     for n in itertools.count():
         r = n % q
@@ -128,13 +143,21 @@ def _rgamma_stream(rho: Fraction, beta: Fraction):
         if val is None or val == 0:
             val = reciprocal_gamma(Fraction(beta_d - rho_d * n, d))
         else:
-            xd = beta_d - rho_d * (n - q)  # the chain's previous argument, times d
-            if p > 0:
-                val = val * math.prod(xd - i * d for i in range(1, p + 1)) / d_p
-            else:
-                val = val * d_p / math.prod(xd + i * d for i in range(-p))
+            # the chain's previous argument, times d
+            num, den = _chain_factor(beta_d - rho_d * (n - q), d, p)
+            val = val * num / den
         chains[r] = val
         yield val
+
+
+def _exact(x) -> Fraction:
+    """The exact value of a real argument: an mpf bit for bit, any other by _as_fraction."""
+    return mpf_to_fraction(x) if isinstance(x, mp.mpf) else _as_fraction(x)
+
+
+def _log(x: Fraction) -> float:
+    """Natural log of x > 0 from its numerator and denominator, past the float range."""
+    return math.log(x.numerator) - math.log(x.denominator)
 
 
 def _phi_log_peak(rho: Fraction, zabs) -> float:
@@ -142,20 +165,21 @@ def _phi_log_peak(rho: Fraction, zabs) -> float:
     (1-rho) |rho|^{rho/(1-rho)} |z|^{1/(1-rho)}: math.inf where log|z| of the exact
     |z| puts it past the float range, the float power below that."""
     r = float(rho)
-    f = mpf_to_fraction(zabs) if isinstance(zabs, mp.mpf) else _as_fraction(zabs)
-    if f and math.log(f.numerator) - math.log(f.denominator) > 700 * (1 - r):
+    f = _exact(zabs)
+    if f and _log(f) > 700 * (1 - r):
         return math.inf
-    return (1 - r) * (abs(r) ** (r / (1 - r))) * as_float(zabs) ** (1.0 / (1 - r))
+    return (1 - r) * (abs(r) ** (r / (1 - r))) * float(f) ** (1.0 / (1 - r))
 
 
 def _phi_cancel_bits(rho: Fraction, zabs) -> int:
     """Guard bits for direct summation: the max term is about exp(peak)
     (_phi_log_peak) times the real part; at most 2^62, beyond any precision.
+    |z| is compared with 1 exactly, so any |z| past the float range is accepted.
 
     For rho <= 0, phi is an entire function of order 1/(1+|rho|) that grows like
     exp(peak) along one direction and can be as small as exp(-peak) along
     another (e^z/Gamma(beta) at rho = 0), so the guard covers twice the peak."""
-    if as_float(zabs) <= 1:
+    if _exact(zabs) <= 1:
         return 16
     peak = _phi_log_peak(rho, zabs)
     if rho <= 0:
@@ -172,14 +196,18 @@ def _phi_peak_index(rho: Fraction, zabs: float) -> float:
     return (float(zabs) / (-r) ** (-r)) ** (1.0 / (1 - r))
 
 
+def _phi_term_cap(rho: Fraction, zabs, cfg: EvalConfig) -> int:
+    """The most terms a phi series at |z| = zabs may take at the ambient precision."""
+    n_peak = _phi_peak_index(rho, zabs)
+    return min(cfg.max_terms, int(4 * n_peak + 0.8 * mp.mp.prec / (1 - float(rho)) + 256))
+
+
 def _phi_series_core(params: WrightParams, z, j: int, cfg: EvalConfig):
     """Direct summation of phi_j at ambient precision."""
     rho, beta = params.rho, params.beta
     zc = frac_to_mpf(z)
     zabs = abs(zc)
-    n_peak = _phi_peak_index(rho, zabs)
-    n_cap = min(cfg.max_terms,
-                int(4 * n_peak + 0.8 * mp.mp.prec / (1 - float(rho)) + 256))
+    n_cap = _phi_term_cap(rho, zabs, cfg)
     cut = cfg.threshold
     if rho <= 0:
         # the sum may be as small as exp(-peak): cut the tail relative to that
@@ -218,7 +246,10 @@ def _phi_series_core(params: WrightParams, z, j: int, cfg: EvalConfig):
 
 
 def wright_phi(params: WrightParams, z, cfg: EvalConfig):
-    """phi(rho, beta; z) by direct series summation with symbolic pole skipping."""
+    """phi(rho, beta; z) by direct series summation with symbolic pole skipping.
+
+    The tail is cut at an absolute 2^-(p+32), so the precision contract holds on
+    the scale max(1, |phi|): a phi far below 1 may have no correct digit."""
     return wright_phi_moment(0, params, z, cfg)
 
 
@@ -354,9 +385,65 @@ def _quad_cut(k: int, bell, m: float) -> float:
 
 
 def _Wj_series_core(k: int, j: int, w, cfg: EvalConfig):
-    rho_f = Fraction(k, k + 1)
-    z = frac_to_mpf(w) * mp.expjpi(-frac_to_mpf(rho_f))
-    return 2 * mp.re(_phi_series_core(WrightParams(rho_f), z, j, cfg)[0])
+    """W_j(w) = 2 Re sum_n n^j a_n, a_n = z^n/(n! Gamma(1 - k n/q)), z = w e^{-i pi k/q},
+    q = k+1, summed over Python integers in fixed point at scale 2^-W, W the ambient
+    precision (p + bits + 64, bits = _phi_cancel_bits).
+
+    z^q = (-1)^k w^q is an exact rational (w read exactly), so
+    a_n = a_{n-q} (-1)^k w^q (x-1)...(x-k)/(n (n-1)...(n-q+1)), x = 1 - k(n-q)/q,
+    with the Gamma factor from _chain_factor. The terms with n = r mod q are the fixed
+    phase e^{-i pi k r/q} times a real chain c_n, held as an integer C_n ~ 2^W c_n, so
+    W_j = 2 sum_r cos(pi k r/q) sum_n n^j c_n, converted once at the end. A step is
+    one C num // den, truncated toward zero; a chain starts, and restarts past a pole
+    (1/Gamma exactly zero), from reciprocal_gamma(x) w^n/n! through to_fixed, never
+    because its value was truncated to 0.
+
+    Each truncation loses less than one unit of 2^-W, and a chain takes at most n
+    steps to reach c_n. An error made earlier is carried on by the exact ratios of
+    the later steps, which grow a chain to its peak and then shrink it, so C_n is off
+    by less than n max(1, |c_n/c_start|) units, c_start the chain's first term. The
+    largest term is at most about 2^bits (_phi_cancel_bits), so the N terms summed are
+    off by less than N^{j+2} 2^{bits - W}/|c_start| = N^{j+2} 2^-(p+64)/|c_start|:
+    inside the 64 guard bits while N^{j+2}/|c_start| < 2^64, which holds for the few
+    thousand terms the auto route sums (N = 6000 at j = 3, say).
+
+    The stop rule is _phi_series_core's: 10 terms in a row below 2^-(p+32), that is
+    below 2^{W-p-32} units; a pole term counts by the bound w^n N!/(n! pi) of its
+    neighbours (x = -N), taken from lgamma in floats, since it only feeds the stop."""
+    q, p, wp = k + 1, cfg.precision_bits, mp.mp.prec
+    wf = _exact(w)
+    n_cap = _phi_term_cap(Fraction(k, q), wf, cfg)
+    wq_num, wq_den = (-1) ** k * wf.numerator ** q, wf.denominator ** q
+    cut, log_cut, log_w = 1 << (wp - p - 32), math.log(math.pi) - (p + 32) * LN2, _log(wf)
+    chains, sums, small = [None] * q, [0] * q, 0
+    for n in range(n_cap + 1):
+        r = n % q
+        c = chains[r]
+        if c is None:
+            rg = reciprocal_gamma(Fraction(q - k * n, q))
+            if rg:
+                rg = -rg if k * (n // q) % 2 else rg
+                c = to_fixed((rg * frac_to_mpf(wf ** n / math.factorial(n)))._mpf_, wp)
+        else:
+            num, den = _chain_factor(q - k * (n - q), q, k)
+            t, den = c * (num * wq_num), den * wq_den * math.perm(n, q)
+            c = t // den if t >= 0 else -(-t // den)
+        chains[r] = c
+        if c is None:
+            below = n * log_w - math.lgamma(n + 1) + math.lgamma(k * n // q) < log_cut
+        else:
+            t = n ** j * c
+            sums[r] += t
+            below = abs(t) < cut
+        if n > 8 and below:
+            small += 1
+            if small >= 10:
+                tot = sum(mp.cospi(frac_to_mpf(Fraction(k * r, q))) * s
+                          for r, s in enumerate(sums))
+                return mp.ldexp(tot, 1 - wp)
+        else:
+            small = 0
+    raise TermCapExceeded(f"wright series needed more than {n_cap} terms")
 
 
 def _Wj_quad_core(k: int, j: int, w, cfg: EvalConfig):
@@ -415,18 +502,20 @@ def _Wj_asymptotic_core(k: int, j: int, w, cfg: EvalConfig):
 def W_j_num(k: int, j: int, w, cfg: EvalConfig, route: str = "auto"):
     """W_j(w) = 2 Re phi_j(k/(k+1), 1; e^{-i pi k/(k+1)} w) for w > 0.
 
-    Route "series" sums the phi_j series with bits = _phi_cancel_bits guard bits for
-    its cancellation; "quadrature" uses the reflected integral (no cancellation, any
-    w); "asymptotic" sums the large-w expansion, whose smallest term is about
-    2^-bits. "auto" takes the series while bits + p <= 2600, else the expansion when
-    bits >= 2(p + 64) + 16 (so it stops far before its smallest term), else quadrature.
-    Series and quadrature pin each other below the first switch, expansion and
-    quadrature above it.
+    Route "series" sums the phi_j series in fixed point with bits = _phi_cancel_bits
+    guard bits for its cancellation; "quadrature" uses the reflected integral (no
+    cancellation, any w); "asymptotic" sums the large-w expansion, whose smallest
+    term is about 2^-bits. "auto" takes the series while bits + p <= 2600, else the
+    expansion when bits >= 2(p + 64) + 16 (so it stops far before its smallest
+    term), else quadrature. Three independent pairs check each other: the series
+    against 2 Re wright_phi_moment's mpc loop (the same bits), series and quadrature
+    below the first switch, expansion and quadrature above it. w is read exactly,
+    so a str, Fraction or int past the float range is accepted as an mpf is.
     """
     check_k(k)
     if j < 0:
         raise ValueError("j must be >= 0")
-    if not as_float(w) > 0:
+    if not _exact(w) > 0:
         raise ValueError("W_j is evaluated for w > 0")
     bits = _phi_cancel_bits(Fraction(k, k + 1), w)
     p = cfg.precision_bits

@@ -124,6 +124,13 @@ class TestHugeArguments:
         assert close_bits(W_j_num(k, 0, w, EvalConfig(64)), limit, 56)
         assert abs(W_j_num(k, 1, w, EvalConfig(64))) < mp.mpf(10) ** -50
 
+    @pytest.mark.parametrize("w", ["1e400", F(10) ** 400, 10 ** 400], ids=["str", "F", "int"])
+    def test_exact_arguments_past_the_float_range(self, w):
+        # the sign and the |z| <= 1 test read the exact value, as the mpf path does
+        with mp.workprec(96):
+            ref = W_j_num(2, 0, mp.mpf("1e400"), EvalConfig(64))
+        assert W_j_num(2, 0, w, EvalConfig(64))._mpf_ == ref._mpf_ == mp.mpf(1.5)._mpf_
+
     def test_cancel_bits_in_logs(self):
         # |z|^{3/2} and |z|^3 leave the float range; the count stays a finite int
         for zabs in (1e200, mp.mpf("1e400")):

@@ -1,16 +1,19 @@
 """Kernels of the Wright layer: the reflected integral against the precision
-contract, the 1/Gamma chains of the series, values frozen from the earlier
-per-term series, and the input rule for floats."""
+contract, the 1/Gamma chains of the series, the fixed-point W_j series against
+the mpc loop of wright_phi_moment, values frozen from the earlier per-term
+series, the absolute contract of wright_phi, and the input rule for floats."""
 import itertools
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import close_bits
 from qasymp.hires import EvalConfig, frac_to_mpf
 from qasymp.wright import (W_j_num, WrightParams, _phi_cancel_bits, _rgamma_stream,
-                           reciprocal_gamma, wright_phi)
+                           reciprocal_gamma, wright_phi, wright_phi_moment)
 
 
 def _contract_holds(got, ref, p):
@@ -67,6 +70,37 @@ class TestReciprocalGammaChains:
                 x = beta - rho * n
                 assert (a == 0) == (x.denominator == 1 and x <= 0), n
                 assert (+a)._mpf_ == (+b)._mpf_, n
+
+
+def _series_w_max(k, p):
+    """The largest w = n/100 with _phi_cancel_bits(k/(k+1), w) + p <= 2600, the
+    range where the auto route of W_j_num sums the series."""
+    lo, hi = 1, 1 << 16
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _phi_cancel_bits(F(k, k + 1), F(mid, 100)) + p <= 2600 \
+            else (lo, mid)
+    return lo
+
+
+class TestSeriesAgainstPhiLoop:
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(st.integers(2, 6), st.integers(0, 3), st.integers(64, 256), st.integers(1, 1000),
+           st.booleans())
+    def test_same_bits(self, k, j, p, u, exact):
+        # W_j's fixed-point chains against 2 Re of wright_phi_moment's mpc loop at
+        # the same guard; w is exact or, as the CLI reads it, an mpf at p + 32 bits
+        rho, cfg = F(k, k + 1), EvalConfig(p)
+        w = F(max(1, _series_w_max(k, p) * u // 1000), 100)
+        if not exact:
+            with mp.workprec(p + 32):
+                w = frac_to_mpf(w)
+        guard = _phi_cancel_bits(rho, w) + 64
+        with mp.workprec(p + guard):
+            z = frac_to_mpf(w) * mp.expjpi(-frac_to_mpf(rho))
+        assert _phi_cancel_bits(rho, abs(z)) + 64 == guard
+        ref = mp.ldexp(mp.re(wright_phi_moment(j, WrightParams(rho), z, cfg)), 1)
+        assert W_j_num(k, j, w, cfg, route="series")._mpf_ == ref._mpf_
 
 
 def _mpf_tuple(text):
@@ -202,6 +236,18 @@ class TestFrozenSeriesValues:
             got = wright_phi(WrightParams(F(3, 4)), z, EvalConfig(p))
             assert (got.real._mpf_, got.imag._mpf_) == (_mpf_tuple(re_text),
                                                         _mpf_tuple(im_text)), p
+
+
+class TestPhiContract:
+    def test_absolute_at_a_tiny_value(self):
+        # the series cuts its tail at 2^-(p+32), so the contract scale is
+        # max(1, |phi|): here |phi| is about 3e-58, and the 64-bit value 3e-31 has
+        # no correct digit, yet lies within 2^-56 of the 256-bit one
+        params, z = WrightParams(F(5, 7)), -7.29596828680891
+        got, ref = (wright_phi(params, z, EvalConfig(p)) for p in (64, 256))
+        assert _contract_holds(got, ref, 64)
+        assert abs(ref) < mp.mpf(2) ** -180 and abs(got) > mp.mpf(2) ** -110
+        assert _contract_holds(wright_phi(params, z, EvalConfig(128)), ref, 128)
 
 
 class TestFloatInputs:
