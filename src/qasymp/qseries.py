@@ -8,14 +8,17 @@ even though several building blocks are genuine Laurent series.
 
 Products of binomials turn every factor with a negative exponent around,
 (1 + eps q^e) = eps q^e (1 + eps q^{-e}), and multiply the remaining
-positive-exponent binomials into a dense integer list, which may start from a
-given series; dividing by (1 - q^e) is the same kind of slice update. Andrews'
-m-sum uses these and one sparse-by-dense product per term. chi is summed in
-nested form, and the DP oracle starts each row at its first possibly nonzero exponent.
+positive-exponent binomials into a dense integer list, one slice update each;
+dividing by (1 - q^e) is the same kind of slice update. Andrews' m-sum keeps
+one sparse-by-dense product per term and folds each residue class of m mod
+k+1 in Horner form, so a term costs at most k binomials and the rest of its
+Pochhammer factor is applied once per class. chi is summed in nested form. The
+DP oracle packs each row into one Python integer, one fixed-width field per
+exponent, and divides by (1 - q^s) by shifting and doubling.
 """
 from __future__ import annotations
 
-from math import isqrt
+from math import floor, isqrt, log, pi, sqrt
 from operator import add, sub
 
 from .errors import check_k
@@ -26,17 +29,15 @@ from .exactcore import FormalSeries
 # products of binomials (1 + eps * q^e)
 # ---------------------------------------------------------------------------
 
-def _binomial_product(factors, order: int, start: FormalSeries | None = None) -> FormalSeries:
+def _binomial_product(factors, order: int) -> FormalSeries:
     """Exact truncated product of (1 + eps*q^e) factors (eps = +-1, e may be
-    negative), times start (default 1).
+    negative).
 
     A factor with e < 0 is rewritten as (1 + eps*q^e) = eps*q^e*(1 + eps*q^{-e}),
     so the product is a constant times q^shift (shift = sum of the negative
-    exponents) times binomials with positive exponents only. Those multiply the
-    dense coefficients of start up to q^{order-shift}, one slice update per factor;
-    the result is known to order, or to start's truncation order + shift if lower.
-    A factor (1 - q^0), a zero start, or an order below the lowest term gives the
-    zero series.
+    exponents) times binomials with positive exponents only. Those multiply a
+    dense coefficient list up to q^{order-shift}, one slice update per factor.
+    A factor (1 - q^0), or an order below q^shift, gives the zero series.
     """
     const = 1
     shift = 0
@@ -52,17 +53,19 @@ def _binomial_product(factors, order: int, start: FormalSeries | None = None) ->
             shift += e
             e = -e
         exps.append((eps, e))
-    low, cs = (0, (1,)) if start is None else (start.low, start.coeffs)
-    order = order if start is None else min(order, start.trunc + shift)
-    width = order - shift - low
-    if width < 0 or not cs:
+    n = order - shift + 1
+    if n < 1:
         return FormalSeries.zero(order)
-    n = width + 1
-    c = [const * x for x in cs[:n]] + [0] * (n - len(cs))
+    c = [const] + [0] * (n - 1)
     for eps, e in exps:
-        if e < n:
-            c[e:] = map(add if eps > 0 else sub, c[e:], c[: n - e])
-    return FormalSeries(shift + low, c, order)
+        _times_binomial(c, eps, e)
+    return FormalSeries(shift, c, order)
+
+
+def _times_binomial(c: list, eps: int, e: int) -> None:
+    """c * (1 + eps*q^e) in place, e >= 1, c the dense coefficients of q^0, q^1, ..."""
+    if e < len(c):
+        c[e:] = map(add if eps > 0 else sub, c[e:], c[: len(c) - e])
 
 
 def _divide_binomial(c: list, e: int) -> None:
@@ -70,6 +73,16 @@ def _divide_binomial(c: list, e: int) -> None:
     c[x] += c[x - e] in ascending x, one slice of e entries at a time."""
     for a in range(e, len(c), e):
         c[a: a + e] = map(add, c[a: a + e], c[a - e: a])
+
+
+def _add_tails(a: tuple, b: tuple) -> tuple:
+    """Sum of two (low, coefficients of q^low..q^order) pairs with the same
+    order, added in place into the one with the lower start."""
+    if a[0] > b[0]:
+        a, b = b, a
+    d = b[0] - a[0]
+    a[1][d:] = map(add, a[1][d:], b[1])
+    return a
 
 
 def pochhammer_series(a: int, b: int, order: int) -> FormalSeries:
@@ -174,18 +187,6 @@ def theta_product_check(m: int, t: int, order: int) -> bool:
 # Andrews' theta-sum formula for g_k and the partition oracle
 # ---------------------------------------------------------------------------
 
-def _poch_neg_sum(k: int, m: int) -> int:
-    """Sum of the negative exponents of (q^{k+1-km}; q^{k+1})_infinity."""
-    s = 0
-    j = 0
-    while True:
-        e = k + 1 - k * m + j * (k + 1)
-        if e >= 0:
-            return s
-        s += e
-        j += 1
-
-
 def _theta_min_exp(k: int, m: int) -> int:
     """Exact minimal exponent of theta(q^{km}, q^{k(k+1)/2})."""
     t = k * (k + 1) // 2
@@ -197,23 +198,33 @@ def _theta_min_exp(k: int, m: int) -> int:
 
 
 def gk_series_andrews(k: int, order: int) -> FormalSeries:
-    """g_k(q) via the theta-sum representation, exact to the given order.
+    """g_k(q) via the theta-sum representation, exact to the given order:
 
-    The m-sum stops once the summand's exact minimal exponent
-    km(m+1)/2 + (negative part of the Pochhammer factor) + (theta minimum)
-    exceeds the order; each factor is expanded just far enough that the
-    truncation algebra certifies the product to the requested order.
+        g_k(q) (q^k;q^k)_inf = sum_m (-1)^m q^{km(m+1)/2} theta(q^{km}, q^{k(k+1)/2}) P_m / (q^k;q^k)_m,
 
-    Term m, q^{km(m+1)/2} theta/(q^k;q^k)_m, is one sparse-by-dense product, then
-    multiplied in place by the binomials of (q^{k+1-km}; q^{k+1})_infinity; the sum
-    is divided by (q^k;q^k)_infinity one factor (1 - q^e) at a time.
+    P_m = (q^{k+1-km}; q^{k+1})_infinity, which vanishes when (k+1) | m > 0. The
+    m-sum stops once three terms in a row have an exact minimal exponent
+    km(m+1)/2 + s_neg + (theta minimum) above the order, s_neg being the sum of
+    P_m's negative exponents.
+
+    Turning those factors around gives P_m = (-1)^{N_m} q^{s_neg} F_m S_r with
+    r = m mod (k+1): S_r = (q^r; q^{k+1})_infinity ((q^{k+1}; q^{k+1})_infinity
+    for m = 0) holds the positive factors, and F_m = F_{m-k-1} G_m the N_m
+    turned-around ones, G_m being at most k binomials. An ascending pass keeps
+    U_m = +-q^{km(m+1)/2 + s_neg} theta / (q^k;q^k)_m, one sparse-by-dense
+    product each; a descending pass folds each residue class in Horner form,
+    G_{m1}(U_{m1} + G_{m2}(U_{m2} + ...)), and multiplies by S_r once. The sum
+    is divided by (q^k;q^k)_infinity one factor (1 - q^e) at a time. Each U_m
+    and each class sum is a dense list from its lowest possible exponent to
+    q^order (_add_tails adds two of them).
     """
     check_k(k)
     if order < 0:
         raise ValueError("order must be >= 0")
     t_base = k * (k + 1) // 2
+    n = order + 1
     invf: list = [1] + [0] * order  # inverse of (q^k;q^k)_m, maintained to full order
-    total = [0] * (order + 1)
+    u: dict[int, tuple] = {}         # m -> (low, U_m) for each m whose term reaches the order
     m = 0
     misses = 0
     while misses < 3:
@@ -224,7 +235,8 @@ def gk_series_andrews(k: int, order: int) -> FormalSeries:
             m += 1
             continue
         cp = k * m * (m + 1) // 2
-        s_neg = _poch_neg_sum(k, m)
+        neg = range(k + 1 - k * m, 0, k + 1)  # the negative exponents of P_m
+        s_neg = sum(neg)
         th_min = _theta_min_exp(k, m)
         min_exp = cp + s_neg + th_min
         if min_exp < 0:
@@ -234,14 +246,33 @@ def gk_series_andrews(k: int, order: int) -> FormalSeries:
             m += 1
             continue
         misses = 0
-        li = order - min_exp
-        th = theta_series(k * m, t_base, order - cp - s_neg)
-        th_inv = (th * FormalSeries(0, invf[: li + 1], li)).shift(cp)
-        term = _binomial_product([(-1, e) for e in range(k + 1 - k * m, li + 1, k + 1)],
-                                 order, th_inv)
-        lo, cs = term.low, term.coeffs
-        total[lo: lo + len(cs)] = map(sub if m % 2 else add, total[lo: lo + len(cs)], cs)
+        sign = -1 if (m + len(neg)) % 2 else 1
+        um = [0] * (n - min_exp)
+        for e, c in theta_series(k * m, t_base, order - cp - s_neg).items():
+            x = cp + s_neg + e - min_exp
+            c *= sign
+            if abs(c) == 1:
+                um[x:] = map(add if c > 0 else sub, um[x:], invf[: len(um) - x])
+            else:
+                um[x:] = map(add, um[x:], [c * v for v in invf[: len(um) - x]])
+        u[m] = (min_exp, um)
         m += 1
+    total = (0, [0] * n)
+    for r in range(k + 1):
+        acc = None
+        for mm in reversed(range(r, m if r else 1, k + 1)):
+            term = u.pop(mm, None)
+            if term is not None:
+                acc = term if acc is None else _add_tails(acc, term)
+            if acc is not None:
+                # G_mm: the factors (1 - q^{km - (k+1)i}), i = 1..k, with positive exponent
+                for e in range(k * mm - k - 1, max(k * mm - (k + 1) ** 2, 0), -k - 1):
+                    _times_binomial(acc[1], -1, e)
+        if acc is not None:
+            for e in range(r or k + 1, n, k + 1):
+                _times_binomial(acc[1], -1, e)
+            total = _add_tails(total, acc)
+    total = total[1]
     for e in range(k, order + 1, k):
         _divide_binomial(total, e)
     g = FormalSeries(0, total, order)
@@ -250,37 +281,58 @@ def gk_series_andrews(k: int, order: int) -> FormalSeries:
     return g
 
 
+def _field_bits(order: int) -> int:
+    """Field width of the packed oracle to the given order: floor(log2 of
+    exp(pi sqrt(2 order/3))) + 2 bits, rounded up to whole bytes."""
+    return -(-(floor(pi * sqrt(2 * order / 3) / log(2)) + 2) // 8) * 8
+
+
 def Gk_series_oracle(k: int, order: int) -> FormalSeries:
     """Generating function for partitions with no k consecutive part sizes.
 
     Dynamic programming over part sizes 1..order; the state is the run length
     of consecutively used sizes (0..k-1). Independent of the theta-sum formula.
-    After size s, row r counts partitions that use s, s-1, ..., s-r+1, so its
-    lowest possible exponent is that of row r-1 after size s-1, plus s:
-    low[r] = low[r-1] + s. The loops start there and skip the known zeros.
+    After size s, row r counts partitions that use s, s-1, ..., s-r+1 but not
+    s-r: row 0 is the sum of the previous rows, and row r is the previous row
+    r-1 times q^s/(1 - q^s). Its lowest possible exponent is low[r] =
+    low[r-1] + s, the previous row's plus s; a row with low[r] > order is zero.
+
+    Each row is one Python integer holding the coefficient of q^x in bits
+    xB..xB+B-1 (Kronecker packing), cut to q^order by a mask. Multiplying by
+    q^s is a shift by sB bits, and 1/(1 - q^s) = (1 + q^s)(1 + q^{2s})(1 + q^{4s})...
+    is applied by doubling, h += h << step*B, until the step exceeds
+    order - low[r]. Every coefficient, of a row, of a sum of rows or of a
+    partial product, counts a set of partitions of some x <= order, so it is
+    non-negative and at most p(order) <= exp(pi sqrt(2 order/3)), strictly for
+    order >= 1 (Erdős, Ann. Math. 43 (1942)). B = _field_bits(order) exceeds
+    log2 of that bound by more than one bit, so no sum reaches 2^B and no carry crosses into the next
+    field. B is whole bytes, so the result unpacks in one to_bytes pass.
     """
     check_k(k)
     if order < 0:
         raise ValueError("order must be >= 0")
     n = order
-    f = [[0] * (n + 1) for _ in range(k)]
-    f[0][0] = 1
+    width = _field_bits(n)
+    mask = (1 << (n + 1) * width) - 1
+    f = [1] + [0] * (k - 1)
     low = [0] + [n + 1] * (k - 1)
     for size in range(1, n + 1):
-        tot = f[0][:]
+        low = [0] + [lo + size for lo in low[:-1]]
+        new = [sum(f)]
         for r in range(1, k):
-            tot[low[r]:] = map(add, tot[low[r]:], f[r][low[r]:])
-        low = [0] + [min(lo + size, n + 1) for lo in low[:-1]]
-        new = [tot]
-        for r in range(1, k):
-            prev = f[r - 1]
-            h = [0] * (n + 1)
-            for x in range(low[r], n + 1):
-                h[x] = prev[x - size] + h[x - size]
+            h = 0
+            if low[r] <= n:
+                h = (f[r - 1] << size * width) & mask
+                step = size
+                while step <= n - low[r]:
+                    h += (h << step * width) & mask
+                    step *= 2
             new.append(h)
         f = new
-    out = [sum(col) for col in zip(*f)]
-    return FormalSeries(0, out, order)
+    w = width // 8
+    data = sum(f).to_bytes((n + 1) * w, "little")
+    return FormalSeries(0, [int.from_bytes(data[i: i + w], "little")
+                            for i in range(0, len(data), w)], order)
 
 
 def gk_from_oracle(k: int, order: int) -> FormalSeries:
