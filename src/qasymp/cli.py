@@ -124,11 +124,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     rows = []
     deviations = []
     for sf in cfg.s_grid:
-        with mp.workprec(cfg.precision_bits + 32):
+        with hires.LOCK, mp.workprec(cfg.precision_bits + 32):
             s = hires.frac_to_mpf(sf)
         g, r = hires.gk_and_relative_error_num(cfg.k, s, ec)
         e = expansion.expansion_eval(cfg.k, cfg.n_order, s, ec)
-        with mp.workprec(cfg.precision_bits + 32):
+        with hires.LOCK, mp.workprec(cfg.precision_bits + 32):
             dev = abs(g - e) / abs(g)
             w0 = wright.W_j_num(cfg.k, 0, _w_of_s(cfg.k, s), ec)
         deviations.append(dev)
@@ -178,11 +178,11 @@ def cmd_wright(cfg: RunConfig) -> int:
     ec = cfg.eval_config
     rows = []
     for sf in cfg.s_grid:
-        with mp.workprec(cfg.precision_bits + 32):
+        with hires.LOCK, mp.workprec(cfg.precision_bits + 32):
             w = hires.frac_to_mpf(sf)
         if cfg.which == "phi":
             rho = Fraction(cfg.k, cfg.k + 1)
-            with mp.workprec(cfg.precision_bits + 32):
+            with hires.LOCK, mp.workprec(cfg.precision_bits + 32):
                 z = w * mp.expjpi(hires.frac_to_mpf(rho))
             val = wright.wright_phi(wright.WrightParams(rho), z, ec)
             rows.append((str(sf), hires.format_real(mp.re(val), ec),
@@ -199,11 +199,11 @@ def cmd_plotdata(cfg: RunConfig) -> int:
     ec = cfg.eval_config
     rows = []
     for sf in cfg.s_grid:
-        with mp.workprec(cfg.precision_bits + 32):
+        with hires.LOCK, mp.workprec(cfg.precision_bits + 32):
             s = hires.frac_to_mpf(sf)
         g = hires.gk_num(cfg.k, s, ec)
         e = expansion.expansion_eval(cfg.k, cfg.n_order, s, ec)
-        with mp.workprec(cfg.precision_bits + 32):
+        with hires.LOCK, mp.workprec(cfg.precision_bits + 32):
             dev = abs(g - e) / abs(g)
             logdev = mp.log10(dev) if dev > 0 else mp.mpf("-inf")
         rows.append((str(sf), mp.nstr(logdev, 17)))

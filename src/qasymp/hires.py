@@ -71,10 +71,14 @@ def frac_to_mpf(x):
 
 
 def as_float(x) -> float:
-    """Rough float view of any accepted real argument (for guard-bit sizing)."""
+    """Rough float view of any accepted real argument (for guard-bit sizing),
+    +-inf beyond the float range."""
     if isinstance(x, str):
-        return float(Fraction(x))
-    return float(x)
+        x = Fraction(x)
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def mpf_to_fraction(x) -> Fraction:

@@ -6,15 +6,16 @@ Everything returns a FormalSeries with exact integer/rational coefficients; the
 truncation metadata guarantees no coefficient below the requested order is lost,
 even though several building blocks are genuine Laurent series.
 
-Products of binomials turn every factor with a negative exponent around,
-(1 + eps q^e) = eps q^e (1 + eps q^{-e}), and multiply the remaining
-positive-exponent binomials into a dense integer list, one slice update each;
-dividing by (1 - q^e) is the same kind of slice update. Andrews' m-sum keeps
-one sparse-by-dense product per term and folds each residue class of m mod
-k+1 in Horner form, so a term costs at most k binomials and the rest of its
-Pochhammer factor is applied once per class. chi is summed in nested form. The
-DP oracle packs each row into one Python integer, one fixed-width field per
-exponent, and divides by (1 - q^s) by shifting and doubling.
+Every infinite product is a list of families (q^a; q^b)_inf, cut at the order
+in one place (_poch_product), and a theta's terms come from its exact n-window
+(_theta_terms). Products of binomials turn each factor with a negative exponent
+around, (1 + eps q^e) = eps q^e (1 + eps q^{-e}), and multiply the rest into a
+dense integer list, one slice update each, as is a division by 1 - q^e. Andrews'
+m-sum adds each theta term times 1/(q^k;q^k)_m as one slice and folds each
+residue class of m mod k+1 in Horner form. chi is summed in nested form, and
+g_2's product side is chi (q;q^6)_inf (q^5;q^6)_inf. The DP oracle packs each
+row into one Python integer, one fixed-width field per exponent, and divides by
+(1 - q^s) by shifting and doubling.
 """
 from __future__ import annotations
 
@@ -85,6 +86,18 @@ def _add_tails(a: tuple, b: tuple) -> tuple:
     return a
 
 
+def _poch_product(families, order: int) -> FormalSeries:
+    """prod over (a, b) in families of (q^a; q^b)_infinity, exact to the given order:
+    family (a, b) has max(0, -(a // b)) negative exponents, and with shift their sum
+    over all families, a factor 1 - q^e with e > order - shift is left out."""
+    shift = 0
+    for a, b in families:
+        neg = max(0, -(a // b))
+        shift += neg * a + b * neg * (neg - 1) // 2
+    return _binomial_product([(-1, a + m * b) for a, b in families
+                              for m in range((order - shift - a) // b + 1)], order)
+
+
 def pochhammer_series(a: int, b: int, order: int) -> FormalSeries:
     """(q^a; q^b)_infinity = prod_{m>=0} (1 - q^{a+mb}), exact to the given order.
 
@@ -93,25 +106,7 @@ def pochhammer_series(a: int, b: int, order: int) -> FormalSeries:
     """
     if b < 1:
         raise ValueError("pochhammer base step b must be >= 1")
-    if a <= 0 and a % b == 0:
-        return FormalSeries.zero(order)
-    factors = []
-    s_neg = 0
-    m = 0
-    while True:
-        e = a + m * b
-        if e >= 0:
-            break
-        factors.append((-1, e))
-        s_neg += e
-        m += 1
-    while True:
-        e = a + m * b
-        if e > order - s_neg:
-            break
-        factors.append((-1, e))
-        m += 1
-    return _binomial_product(factors, order)
+    return _poch_product([(a, b)], order)
 
 
 def finite_pochhammer_series(a: int, b: int, n: int, order: int) -> FormalSeries:
@@ -125,29 +120,25 @@ def finite_pochhammer_series(a: int, b: int, n: int, order: int) -> FormalSeries
 # theta
 # ---------------------------------------------------------------------------
 
+def _theta_terms(m: int, t: int, order: int) -> dict:
+    """The nonzero terms {exponent: coefficient} of theta(q^m, q^t) up to q^order:
+    mn + tn^2 <= order exactly when |2tn + m| <= isqrt(m^2 + 4t order). When t | m,
+    n and -m/t - n share an exponent; their terms are merged (cancel if m/t is odd)."""
+    terms: dict[int, int] = {}
+    d = m * m + 4 * t * order
+    if d >= 0:
+        r = isqrt(d)
+        for n in range(-((m + r) // (2 * t)), (r - m) // (2 * t) + 1):
+            e = m * n + t * n * n
+            terms[e] = terms.get(e, 0) + (-1 if n % 2 else 1)
+    return {e: c for e, c in terms.items() if c}
+
+
 def theta_series(m: int, t: int, order: int) -> FormalSeries:
     """theta(q^m, q^t) = sum_{n in Z} (-1)^n q^{mn + t n^2}, truncated exactly."""
     if t < 1:
         raise ValueError("theta base exponent t must be >= 1")
-    terms: dict[int, int] = {}
-    # exponent mn + tn^2 <= order defines a finite n-window around -m/(2t)
-    n = 0
-    while True:
-        e = m * n + t * n * n
-        if e > order and 2 * t * n > -m:
-            break
-        if e <= order:
-            terms[e] = terms.get(e, 0) + (1 if n % 2 == 0 else -1)
-        n += 1
-    n = -1
-    while True:
-        e = m * n + t * n * n
-        if e > order and 2 * t * n < -m:
-            break
-        if e <= order:
-            terms[e] = terms.get(e, 0) + (1 if n % 2 == 0 else -1)
-        n -= 1
-    return FormalSeries.from_terms(terms, order)
+    return FormalSeries.from_terms(_theta_terms(m, t, order), order)
 
 
 def theta_product_check(m: int, t: int, order: int) -> bool:
@@ -156,45 +147,19 @@ def theta_product_check(m: int, t: int, order: int) -> bool:
     The factor families per n >= 1 are (1-q^{2tn}), (1-q^{m+t(2n-1)}) and
     (1-q^{-m+t(2n-1)}); only finitely many exponents are negative.
     """
-    lhs = theta_series(m, t, order)
-    neg_sum = 0
-    n = 1
-    while True:
-        e2 = m + t * (2 * n - 1)
-        e3 = -m + t * (2 * n - 1)
-        if e2 >= 0 and e3 >= 0:
-            break
-        neg_sum += min(e2, 0) + min(e3, 0)
-        n += 1
-    cap = order - neg_sum
-    exps = []
-    n = 1
-    while True:
-        e1 = 2 * t * n
-        e2 = m + t * (2 * n - 1)
-        e3 = -m + t * (2 * n - 1)
-        if min(e1, e2, e3) > cap:
-            break
-        for e in (e1, e2, e3):
-            if e <= cap:
-                exps.append((-1, e))
-        n += 1
-    rhs = _binomial_product(exps, order)
-    return lhs.eq_to_order(rhs, order)
+    return theta_series(m, t, order).eq_to_order(
+        _poch_product([(2 * t, 2 * t), (m + t, 2 * t), (t - m, 2 * t)], order), order)
 
 
 # ---------------------------------------------------------------------------
 # Andrews' theta-sum formula for g_k and the partition oracle
 # ---------------------------------------------------------------------------
 
-def _theta_min_exp(k: int, m: int) -> int:
-    """Exact minimal exponent of theta(q^{km}, q^{k(k+1)/2})."""
-    t = k * (k + 1) // 2
-    best = 0
-    n0 = int(round(-m / (k + 1)))
-    for n in range(n0 - 2, n0 + 3):
-        best = min(best, k * m * n + t * n * n)
-    return best
+def _theta_min_exp(m: int, t: int) -> int:
+    """Exact minimal exponent of theta(q^m, q^t): mn + tn^2 at one of the two
+    integers around the vertex -m/(2t)."""
+    n = -m // (2 * t)
+    return min(m * n + t * n * n, m * (n + 1) + t * (n + 1) ** 2)
 
 
 def gk_series_andrews(k: int, order: int) -> FormalSeries:
@@ -237,7 +202,7 @@ def gk_series_andrews(k: int, order: int) -> FormalSeries:
         cp = k * m * (m + 1) // 2
         neg = range(k + 1 - k * m, 0, k + 1)  # the negative exponents of P_m
         s_neg = sum(neg)
-        th_min = _theta_min_exp(k, m)
+        th_min = _theta_min_exp(k * m, t_base)
         min_exp = cp + s_neg + th_min
         if min_exp < 0:
             raise RuntimeError(f"negative minimal exponent {min_exp} at k={k}, m={m}")
@@ -248,7 +213,7 @@ def gk_series_andrews(k: int, order: int) -> FormalSeries:
         misses = 0
         sign = -1 if (m + len(neg)) % 2 else 1
         um = [0] * (n - min_exp)
-        for e, c in theta_series(k * m, t_base, order - cp - s_neg).items():
+        for e, c in _theta_terms(k * m, t_base, order - cp - s_neg).items():
             x = cp + s_neg + e - min_exp
             c *= sign
             if abs(c) == 1:
@@ -369,14 +334,11 @@ def g2_product_side(order: int) -> FormalSeries:
     """Product side of Andrews' mock theta identity for g_2:
 
         g_2(q) = chi(q) * prod_{n>=1} (1+q^{3n}) (1-q^n) / (1-q^{2n})
-               = chi(q) * prod_{n>=1} (1+q^{3n}) / (1+q^n).
+               = chi(q) * prod_{gcd(n,6)=1} (1-q^n)
 
-    Cross-checked against the theta-sum route, the DP oracle and the
-    transfer-matrix probability model; equals chi * prod_{gcd(n,6)=1}(1-q^n).
-    """
-    plus = _binomial_product([(1, 3 * n) for n in range(1, order // 3 + 1)], order)
-    ratio = pochhammer_series(1, 1, order) * pochhammer_series(2, 2, order).invert()
-    return chi_series(order) * plus * ratio
+    by Euler's identity (-q;q)_inf (q;q^2)_inf = 1. Cross-checked against the
+    theta-sum route, the DP oracle and the transfer-matrix model."""
+    return chi_series(order) * _poch_product([(1, 6), (5, 6)], order)
 
 
 def g2_product_side_as_printed(order: int) -> FormalSeries:
@@ -388,7 +350,7 @@ def g2_product_side_as_printed(order: int) -> FormalSeries:
     (1-q^n) on the wrong side of the fraction bar. See g2_product_side.
     """
     plus = _binomial_product([(1, 3 * n) for n in range(1, order // 3 + 1)], order)
-    den = pochhammer_series(1, 1, order) * pochhammer_series(2, 2, order)
+    den = _poch_product([(1, 1), (2, 2)], order)
     return chi_series(order) * plus * den.invert()
 
 
