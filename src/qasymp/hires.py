@@ -9,10 +9,17 @@ Every numeric argument is read by one rule, frac_to_mpf.
 
 The small-s route (gk_num's insum and I_n_num) runs one m-loop per (k, s): its
 real terms are binned by m mod 2(k+1), and each odd n then costs 2(k+1) phase
-products (_In_bins, _In_from_bins). The seed products' tails of t factors run in
+products (_In_bins, _In_from_bins). The loop runs over Python integers at scale
+2^-w as k residue chains: for m > k and r = m mod (k+1) != 0,
+u_m = (-1)^k q^{k(k+1)} prod_{i<k} (1 - q^{E_i}) u_{m-k-1}, E_i = km - k(k+1) + i(k+1),
+a constant q-power times factors in (0, 1), and term m is u_m/(q^k;q^k)_m. After M
+values of m every bin is within 2^{b+v+2} K^3 units of 2^-w, K = M + 1 + 1/(ks),
+2^b >= max |u_r|, 1 and 2^v >= e^{pi^2/(6ks)}, and w puts that below 2^-prec
+(see _In_bins). The seed products' tails of t factors run in
 fixed point (_qprod_fixed) at w = prec + L + 2*bitlen(t+1) + 8 bits, within
 t(t+1) units of 2^-w, a relative error below 2^-(prec+8) (see
-_poch_inf_exps_core).
+_poch_inf_exps_core). The direct route stays in mpf (_pm_terms), with k+1
+inner theta sums shifted to every m (_gk_direct_core).
 
 Every numeric export returns through evaluate, which runs its core at
 precision_bits + guard bits and rounds once to precision_bits, under one lock
@@ -417,7 +424,8 @@ def _pm_terms(k, s, seeds, max_terms):
 
     P_m = (q^{k+1-km}; q^{k+1})_infinity telescopes with period k+1 from the seeds:
     P_{m+k+1} = P_m * prod_{i=0}^{k-1} (1 - q^{-km - i(k+1)}). It is zero when
-    (k+1) | m > 0, and those terms are skipped symbolically.
+    (k+1) | m > 0, and those terms are skipped symbolically. The direct route runs
+    on these mpf terms, apart from the insum route's fixed-point chains (_In_terms).
     """
     last = list(seeds)
     qk, qk_inv, q_inv_step = mp.exp(-s * k), mp.exp(s * k), mp.exp(s * (k + 1))
@@ -436,16 +444,17 @@ def _pm_terms(k, s, seeds, max_terms):
         qneg *= qk_inv
 
 
-def _m_sum(terms, k, thr, cap_message, period=1):
-    """Sum (m, term) pairs into period bins by m mod period until more than
-    2(k+1)+2 terms in a row fall below thr times the largest magnitude so far;
-    returns (bins, largest magnitude)."""
-    bins, maxmag, small = [0] * period, mp.mpf(0), 0
+def _m_sum(terms, k, cfg, cap_message, period=1):
+    """Sum (m, term) pairs, mpf or integer, into period bins by m mod period until
+    more than 2(k+1)+2 terms in a row fall below cfg.threshold = 2^-(prec+32)
+    times the largest magnitude so far; returns (bins, largest magnitude)."""
+    scale = 1 << (cfg.precision_bits + 32)
+    bins, maxmag, small = [0] * period, 0, 0
     for m, term in terms:
         bins[m % period] += term
         at = abs(term)
         maxmag = max(maxmag, at)
-        if at < thr * maxmag:
+        if at * scale < maxmag:
             small += 1
             if small > 2 * (k + 1) + 2:
                 return bins, maxmag
@@ -459,31 +468,83 @@ def _insum_guard(k, sf):
     return int(1.4427 / (k * (k + 1) * sf)) + 96
 
 
+def _In_head_bits(k, sf, starts):
+    """(h, L) of the truncation bound 2^h K^3 units, K = M + 1 + L (see _In_bins):
+    h = b + v + 2 with 2^b >= max(1, |u_r|) and 2^v >= e^{pi^2/(6ks)}, L = 1/(ks)."""
+    b = max([0] + [mp.mag(u) for u in starts if u])
+    return b + math.ceil(math.pi ** 2 / (6 * k * sf * LN2)) + 2, 1 / (k * sf)
+
+
+def _In_terms(k, s, starts, w, max_terms):
+    """Yield (m, T_m) for m = 0 and every m < max_terms not divisible by k+1: T_m is
+    2^w q^{c_m} P_m / ((q^k;q^k)_m P_0), truncated to an integer, from the chains
+    u_r of _In_bins."""
+    one = 1 << w
+    qk = to_fixed(mp.exp(-s * k)._mpf_, w)
+    step = to_fixed(mp.exp(-s * k * (k + 1))._mpf_, w)
+    if k % 2:
+        step = -step
+    zs = [to_fixed(mp.exp(-s * i * (k + 1))._mpf_, w) for i in range(k)]
+    u = [one] + [to_fixed(x._mpf_, w) for x in starts]
+    ys = [one] * (k + 1)        # ys[m mod (k+1)] = q^{km}, read back k+1 steps later
+    y = v = one                 # q^{km} and 1/(q^k;q^k)_m
+    yield 0, one
+    for m in range(1, max_terms):
+        r = m % (k + 1)
+        x = ys[r]               # q^{k(m-k-1)}
+        y = y * qk >> w
+        ys[r] = y
+        v = (v << w) // (one - y)
+        if not r:
+            continue
+        t = u[r]
+        if m > k:
+            for z in zs:
+                e = x * z >> w  # q^{E_i}, which falls with i
+                if not e:
+                    break
+                t -= t * e >> w
+            u[r] = t = t * step >> w
+        yield m, t * v >> w
+
+
 def _In_bins(k, n, s, cfg):
     """The I_n m-loop, run once for every odd n; returns (bins, max term magnitude).
 
     Term m of I_n is e^{i pi m(n+k+1)/(k+1)} times the real
-    q^{c_m} P_m / ((q^k;q^k)_m P_0), and the phase has period 2(k+1) in m, so
-    bins[r] sums the real parts over m = r mod 2(k+1) and _In_from_bins applies
-    the phases for any n. The (q^{k+1};q^{k+1})_{-km/(k+1)} denominators are
-    P_m/(q^{k+1};q^{k+1})_inf (see _pm_terms). q^{c_m}, c_m = km(km+k+1)/(2(k+1)),
-    comes from two running multipliers: c_{m+1} - c_m = k(2km+2k+1)/(2(k+1))
-    grows by k^2/(k+1) per step. n only names the I_n in the max_terms error.
+    T_m = q^{c_m} P_m / ((q^k;q^k)_m P_0), c_m = km(km+k+1)/(2(k+1)), and the phase
+    has period 2(k+1) in m, so bins[r] sums T_m over m = r mod 2(k+1) and
+    _In_from_bins applies the phases for any n. The (q^{k+1};q^{k+1})_{-km/(k+1)}
+    denominators are P_m/(q^{k+1};q^{k+1})_inf (see _pm_terms).
+
+    T_m = u_m V_m with u_m = q^{c_m} P_m/P_0 and V_m = 1/(q^k;q^k)_m. P_m telescopes
+    within its residue class r = m mod (k+1) (zero for r = 0 < m), and the
+    q-exponents telescope to a constant: for m > k,
+    u_m = (-1)^k q^{k(k+1)} prod_{i<k} (1 - q^{E_i}) u_{m-k-1}, with
+    E_i = km - k(k+1) + i(k+1) > 0, so every multiplier lies in (0, 1) and
+    |u_m| <= 2^b, where 2^b >= max(1, |u_1|, .., |u_k|);
+    V_m = V_{m-1}/(1 - q^{km}) <= 1/(q^k;q^k)_inf <= e^{pi^2/(6ks)} <= 2^v. _In_terms
+    runs the k chains u_r and V over Python integers at scale 2^-w, from the mpf
+    starts u_r = q^{c_r} P_r/P_0 and powers of q. Each truncation
+    loses under a unit: the running q^{km} is off by at most 2m units, u_m by
+    2^b (m+1)^2, V_m relatively by 2^-w m(m + 2 + 2/(ks)), so after M values of m
+    each bin is within 2^{b+v+2} K^3 units, K = M + 1 + 1/(ks) (_In_head_bits).
+    With K sized from the term count of a decay like q^{km} from 2^v down to
+    2^-prec, w = prec + b + v + 2 + 3 bitlen(K) makes that under 2^-prec, where
+    prec is the working precision, and T_0 = 1 <= the largest term. The stop rule
+    of _m_sum runs on the integers; the bins convert to mpf once. n only names
+    the I_n in the max_terms error.
     """
     seeds = _pm_seeds(k, s)
-
-    def terms():
-        qc = mp.mpf(1)
-        dqc = mp.exp(-s * frac_to_mpf(Fraction(k * (2 * k + 1), 2 * (k + 1))))
-        ddqc = mp.exp(-s * frac_to_mpf(Fraction(k * k, k + 1)))
-        for m, pm, poch_m in _pm_terms(k, s, seeds, cfg.max_terms):
-            if pm is not None:
-                yield m, qc * pm / (poch_m * seeds[0])
-            qc *= dqc
-            dqc *= ddqc
-
-    return _m_sum(terms(), k, cfg.threshold,
-                  f"I_n loop exceeded max_terms at k={k}, n={n}, s={s}", 2 * (k + 1))
+    starts = [mp.exp(-s * frac_to_mpf(Fraction(k * r * (k * r + k + 1), 2 * (k + 1))))
+              * seeds[r] / seeds[0] for r in range(1, k + 1)]
+    sf = as_float(s)
+    head, lk = _In_head_bits(k, sf, starts)
+    m_est = (mp.mp.prec + head) * LN2 / (k * sf) + 3 * (k + 1)
+    w = mp.mp.prec + head + 3 * int(m_est + 1 + lk).bit_length()
+    bins, maxmag = _m_sum(_In_terms(k, s, starts, w, cfg.max_terms), k, cfg,
+                          f"I_n loop exceeded max_terms at k={k}, n={n}, s={s}", 2 * (k + 1))
+    return [mp.mpf((b, -w)) for b in bins], mp.mpf((maxmag, -w))
 
 
 def _In_from_bins(k, n, bins):
@@ -555,30 +616,41 @@ def _gk_insum_core(k, s, cfg):
 def _gk_direct_core(k, s, cfg):
     """Plain theta-sum m-loop with each theta evaluated by its direct bilateral sum;
     kept as the cross-check oracle for the regrouped route (it carries the full
-    m-sum cancellation, so the caller must provide matching guard bits)."""
+    m-sum cancellation, so the caller must provide matching guard bits).
+
+    Term m is (-1)^m q^{km(m+1)/2} P_m theta_m / (q^k;q^k)_m with the inner theta
+    theta_m = sum_nu (-1)^nu q^{k m nu + t nu^2}, t = k(k+1)/2. For m = (k+1)j + r,
+    nu -> nu - j turns it into (-1)^j q^{-(t j^2 + k r j)} theta_r, so k+1 inner
+    sums serve every m, each over the window its m had, shifted by j.
+    """
     s = frac_to_mpf(s)
     t_base = k * (k + 1) // 2
-    width = math.sqrt((mp.mp.prec + 16) * LN2 / float(s) / t_base) + 2
+    width = math.sqrt((mp.mp.prec + 16) * LN2 / as_float(s) / t_base) + 2
     d_step = mp.exp(-2 * s * t_base)
+    thetas = []
+    for r in range(k + 1):
+        # the terms e^{-s(k r nu + t nu^2)} come from two running multipliers:
+        # t *= d, d *= e^{-2 s t_base}
+        center = -r / (k + 1)
+        lo, hi = int(math.floor(center - width)), int(math.ceil(center + width))
+        t = mp.exp(-s * (k * r * lo + t_base * lo * lo))
+        d = mp.exp(-s * (k * r + t_base * (2 * lo + 1)))
+        th = mp.mpf(0)
+        for nn in range(lo, hi + 1):
+            th += -t if nn % 2 else t
+            t, d = t * d, d * d_step
+        thetas.append(th)
 
     def terms():
-        # the inner theta's terms e^{-s(k m nu + t nu^2)} come from two running
-        # multipliers: t *= d, d *= e^{-2 s t_base}
         for m, pm, poch_m in _pm_terms(k, s, _pm_seeds(k, s), cfg.max_terms):
             if pm is None:
                 continue
-            center = -m / (k + 1)
-            lo, hi = int(math.floor(center - width)), int(math.ceil(center + width))
-            t = mp.exp(-s * (k * m * lo + t_base * lo * lo))
-            d = mp.exp(-s * (k * m + t_base * (2 * lo + 1)))
-            th = mp.mpf(0)
-            for nn in range(lo, hi + 1):
-                th += -t if nn % 2 else t
-                t, d = t * d, d * d_step
-            term = mp.exp(-s * (k * m * (m + 1) // 2)) * pm * th / poch_m
-            yield m, -term if m % 2 else term
+            j, r = divmod(m, k + 1)
+            e = k * m * (m + 1) // 2 - t_base * j * j - k * r * j
+            term = mp.exp(-s * e) * pm * thetas[r] / poch_m
+            yield m, -term if (m + j) % 2 else term
 
-    (acc,), _ = _m_sum(terms(), k, cfg.threshold,
+    (acc,), _ = _m_sum(terms(), k, cfg,
                        f"direct g_k m-sum exceeded max_terms at k={k}, s={s}")
     return acc / _qq_inf_core(k * s)
 

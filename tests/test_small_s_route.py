@@ -108,13 +108,13 @@ class TestBinnedIn:
 
     def test_gk_runs_one_m_loop(self, monkeypatch):
         starts = []
-        real = hires._pm_terms
+        real = hires._In_terms
 
         def counting(*args):
             starts.append(args[0])
             return real(*args)
 
-        monkeypatch.setattr(hires, "_pm_terms", counting)
+        monkeypatch.setattr(hires, "_In_terms", counting)
         gk_num(3, "0.05", EvalConfig(256))
         assert starts == [3]
 
