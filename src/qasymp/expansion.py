@@ -8,7 +8,8 @@ among them, are exact. rational_ratio reconstructs the same ratios from the
 numeric values by continued fractions, as an independent cross-check.
 
 The a_{n,j} recurrence runs over integers, one denominator per row, and its
-inputs f_{2j} come in closed form from the Bernoulli shift identity.
+inputs f_{2j} come in closed form from the Bernoulli shift identity, as integers
+over one denominator.
 """
 from __future__ import annotations
 
@@ -27,19 +28,33 @@ from .hires import (LOCK, EvalConfig, evaluate, frac_to_mpf, gamma_q_num, keep_l
                     mpf_to_fraction)
 
 
-def f2j_polynomial(k: int, j: int) -> ZPolynomial:
+def _f2j_integers(k: int, j: int) -> tuple[list, int]:
     """f_{2j}(z) = B_{2j} (B_{2j+1}(1+z) k^{2j} + B_{2j+1}(1 - kz/(k+1)) (k+1)^{2j})
-    / (2j (2j+1)!); exact, degree 2j+1. By B_n(1+h) = sum_d C(n,d) B_{n-d}(1) h^d
-    with n = 2j+1 and B_i(1) = (-1)^i B_i, its z^d coefficient is
-    B_{2j}/(2j n!) C(n,d) B_{n-d}(1) (k^{2j} + (k+1)^{2j} (-k/(k+1))^d)."""
+    / (2j (2j+1)!) as (numerators of z^0..z^n, one denominator), n = 2j+1, in
+    lowest terms. By B_n(1+h) = sum_d C(n,d) B_{n-d}(1) h^d and B_i(1) = (-1)^i B_i,
+    its z^d coefficient is
+        B_{2j} C(n,d) (-1)^{n-d} B_{n-d} (k^{2j} (k+1) + (-k)^d (k+1)^{n-d})
+        / (2j n! (k+1)),
+    taken over integers: each B_i is its numerator over L, the lcm of the
+    denominators of B_0..B_n, so the denominator is 2j n! (k+1) L^2."""
+    n = 2 * j + 1
+    bern = [bernoulli_number(i) for i in range(n + 1)]
+    big = lcm(*(b.denominator for b in bern))
+    b = [x.numerator * (big // x.denominator) for x in bern]
+    nums = [b[2 * j] * comb(n, d) * (-1) ** (n - d) * b[n - d]
+            * (k ** (2 * j) * (k + 1) + (-k) ** d * (k + 1) ** (n - d)) for d in range(n + 1)]
+    den = 2 * j * factorial(n) * (k + 1) * big * big
+    g = gcd(den, *nums)
+    return [x // g for x in nums], den // g
+
+
+def f2j_polynomial(k: int, j: int) -> ZPolynomial:
+    """f_{2j}(z) with rational coefficients, exact, degree 2j+1 (see _f2j_integers)."""
     check_k(k)
     if j < 1:
         raise ValueError("j must be >= 1")
-    n = 2 * j + 1
-    scale = bernoulli_number(2 * j) / Fraction(2 * j * factorial(n))
-    r = Fraction(-k, k + 1)
-    return ZPolynomial([scale * comb(n, d) * (-1) ** (n - d) * bernoulli_number(n - d)
-                        * (k ** (2 * j) + (k + 1) ** (2 * j) * r ** d) for d in range(n + 1)])
+    nums, den = _f2j_integers(k, j)
+    return ZPolynomial([Fraction(x, den) for x in nums])
 
 
 @dataclass(frozen=True)
@@ -92,11 +107,14 @@ def hq_bivariate(k: int, j_max: int) -> BivariateExpansion:
 
 
 def _bivariate_table(k: int, j_max: int) -> BivariateExpansion:
+    """The table of hq_bivariate. The exponent's s^1 coefficient
+    k z^2/(4(k+1)) - k z/2 and its s^{2i} coefficients -f_{2i}(z) enter as integer
+    z-coefficients over one denominator, the latter straight from _f2j_integers;
+    no Fraction is built before the finished rows."""
     c = {1: ([0, -2 * k * (k + 1), k], 4 * (k + 1))}
     for i in range(1, j_max // 2 + 1):
-        f = f2j_polynomial(k, i).coeffs
-        d = lcm(*(x.denominator for x in f))
-        c[2 * i] = ([-x.numerator * (d // x.denominator) for x in f], d)
+        nums, d = _f2j_integers(k, i)
+        c[2 * i] = ([-x for x in nums], d)
     e = [([1], 1)]
     for t in range(1, j_max + 1):
         parts = [(i, ci, di, *e[t - i]) for i, (ci, di) in c.items() if i <= t]

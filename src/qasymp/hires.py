@@ -593,15 +593,20 @@ def _gk_insum_core(k, s, cfg):
     regrouped over odd n (the exact odd-n decomposition of the relative error);
     numerically stable for small s because the e^{pi^2/(6(k+1)s)}-scale
     cancellation of the plain m-sum never appears. One m-loop (_In_bins) serves
-    every odd n."""
+    every odd n. The odd-n loop runs to n = sqrt((prec + 64) ln2/c) + 8 at most
+    (at least 200), c = pi^2/(2k(k+1)s), where its weights have fallen below
+    2^-(prec+64); a cap past max_terms raises TermCapExceeded before any term."""
     s = frac_to_mpf(s)
     c = mp.pi ** 2 / (2 * k * (k + 1) * s)
+    cap = max(200, math.isqrt(int((mp.mp.prec + 64) * LN2 / c)) + 8)
+    if cap > cfg.max_terms:
+        raise TermCapExceeded(f"odd-n sum needs {cap} terms, past max_terms, at k={k}, s={s}")
     tot = mp.mpf(0)
     thr = cfg.threshold
     bins, mm = _In_bins(k, 1, s, cfg)
     imax = max(mp.mpf(1), mm)
     n = 1
-    while n < 200:
+    while n < cap:
         w_n = mp.exp(-c * (n * n - 1))
         if n > 1 and w_n * imax * 16 < thr * max(abs(tot), mp.mpf(1)):
             break
@@ -621,7 +626,11 @@ def _gk_direct_core(k, s, cfg):
     Term m is (-1)^m q^{km(m+1)/2} P_m theta_m / (q^k;q^k)_m with the inner theta
     theta_m = sum_nu (-1)^nu q^{k m nu + t nu^2}, t = k(k+1)/2. For m = (k+1)j + r,
     nu -> nu - j turns it into (-1)^j q^{-(t j^2 + k r j)} theta_r, so k+1 inner
-    sums serve every m, each over the window its m had, shifted by j.
+    sums serve every m, each over the window its m had, shifted by j. Each sum
+    starts at the integer c0 nearest its vertex -r/(k+1), where its terms are
+    largest, and runs outward both ways. The exp that starts it then has the
+    exponent x of least size in the window, which matters at huge s: rounding s
+    to prec bits moves exp(-s x) by a factor up to e^{|s x| 2^-prec}.
     """
     s = frac_to_mpf(s)
     t_base = k * (k + 1) // 2
@@ -629,16 +638,19 @@ def _gk_direct_core(k, s, cfg):
     d_step = mp.exp(-2 * s * t_base)
     thetas = []
     for r in range(k + 1):
-        # the terms e^{-s(k r nu + t nu^2)} come from two running multipliers:
-        # t *= d, d *= e^{-2 s t_base}
+        # the terms e^{-s(k r nu + t nu^2)} come from running multipliers,
+        # t *= d, d *= e^{-2 s t_base}, from c0 upward and from c0 downward
         center = -r / (k + 1)
         lo, hi = int(math.floor(center - width)), int(math.ceil(center + width))
-        t = mp.exp(-s * (k * r * lo + t_base * lo * lo))
-        d = mp.exp(-s * (k * r + t_base * (2 * lo + 1)))
-        th = mp.mpf(0)
-        for nn in range(lo, hi + 1):
-            th += -t if nn % 2 else t
-            t, d = t * d, d * d_step
+        c0 = round(center)
+        t0 = mp.exp(-s * (k * r * c0 + t_base * c0 * c0))
+        th = -t0 if c0 % 2 else t0
+        for e, nus in ((k * r + t_base * (2 * c0 + 1), range(c0 + 1, hi + 1)),
+                       (-k * r + t_base * (1 - 2 * c0), range(c0 - 1, lo - 1, -1))):
+            t, d = t0, mp.exp(-s * e)
+            for nn in nus:
+                t, d = t * d, d * d_step
+                th += -t if nn % 2 else t
         thetas.append(th)
 
     def terms():

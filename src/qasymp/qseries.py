@@ -7,15 +7,17 @@ truncation metadata guarantees no coefficient below the requested order is lost,
 even though several building blocks are genuine Laurent series.
 
 Every infinite product is a list of families (q^a; q^b)_inf, cut at the order
-in one place (_poch_product), and a theta's terms come from its exact n-window
-(_theta_terms). Products of binomials turn each factor with a negative exponent
-around, (1 + eps q^e) = eps q^e (1 + eps q^{-e}), and multiply the rest into a
-dense integer list, one slice update each, as is a division by 1 - q^e. Andrews'
-m-sum adds each theta term times 1/(q^k;q^k)_m as one slice and folds each
-residue class of m mod k+1 in Horner form. chi is summed in nested form, and
-g_2's product side is chi (q;q^6)_inf (q^5;q^6)_inf. The DP oracle packs each
-row into one Python integer, one fixed-width field per exponent, and divides by
-(1 - q^s) by shifting and doubling.
+in one place (_poch_product), except (q^b; q^b)_inf, which is Euler's sparse
+pentagonal series; a theta's terms come from its exact n-window (_theta_terms),
+and so do the pentagonal terms. Products of binomials turn each factor with a
+negative exponent around, (1 + eps q^e) = eps q^e (1 + eps q^{-e}), and multiply
+the rest into a dense integer list, one slice update each, as is a division by
+1 - q^e. Andrews' m-sum adds each theta term times 1/(q^k;q^k)_m as one slice
+and folds each residue class of m mod k+1 in Horner form. chi is summed in
+nested form, and g_2's product side multiplies chi's list in place by the
+factors of (q;q^6)_inf (q^5;q^6)_inf. The DP oracle packs each row into one
+Python integer, one fixed-width field per exponent, and divides by (1 - q^s) by
+shifting and doubling.
 """
 from __future__ import annotations
 
@@ -102,10 +104,16 @@ def pochhammer_series(a: int, b: int, order: int) -> FormalSeries:
     """(q^a; q^b)_infinity = prod_{m>=0} (1 - q^{a+mb}), exact to the given order.
 
     Contains the factor (1 - q^0) = 0 exactly when a <= 0 and b | a, in which
-    case the zero series is returned.
+    case the zero series is returned. For a == b it is Euler's pentagonal series
+    (q^b; q^b)_inf = sum_n (-1)^n q^{b n(3n-1)/2}, whose exponents 3n^2 - n are
+    those of theta(q^-1, q^3) up to 2 order/b; every other family multiplies out
+    its binomials (_poch_product).
     """
     if b < 1:
         raise ValueError("pochhammer base step b must be >= 1")
+    if a == b:
+        return FormalSeries.from_terms({e * b // 2: c for e, c in
+                                        _theta_terms(-1, 3, 2 * order // b).items()}, order)
     return _poch_product([(a, b)], order)
 
 
@@ -336,9 +344,16 @@ def g2_product_side(order: int) -> FormalSeries:
         g_2(q) = chi(q) * prod_{n>=1} (1+q^{3n}) (1-q^n) / (1-q^{2n})
                = chi(q) * prod_{gcd(n,6)=1} (1-q^n)
 
-    by Euler's identity (-q;q)_inf (q;q^2)_inf = 1. Cross-checked against the
-    theta-sum route, the DP oracle and the transfer-matrix model."""
-    return chi_series(order) * _poch_product([(1, 6), (5, 6)], order)
+    by Euler's identity (-q;q)_inf (q;q^2)_inf = 1, the factors (1 - q^e),
+    e = +-1 mod 6, applied in place to chi's coefficient list, padded to q^order.
+    Cross-checked against the theta-sum route, the DP oracle and the
+    transfer-matrix model."""
+    c = list(chi_series(order).coeffs)
+    c += [0] * (order + 1 - len(c))
+    for a in (1, 5):
+        for e in range(a, order + 1, 6):
+            _times_binomial(c, -1, e)
+    return FormalSeries(0, c, order)
 
 
 def g2_product_side_as_printed(order: int) -> FormalSeries:
