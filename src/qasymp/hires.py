@@ -15,11 +15,14 @@ u_m = (-1)^k q^{k(k+1)} prod_{i<k} (1 - q^{E_i}) u_{m-k-1}, E_i = km - k(k+1) + 
 a constant q-power times factors in (0, 1), and term m is u_m/(q^k;q^k)_m. After M
 values of m every bin is within 2^{b+v+2} K^3 units of 2^-w, K = M + 1 + 1/(ks),
 2^b >= max |u_r|, 1 and 2^v >= e^{pi^2/(6ks)}, and w puts that below 2^-prec
-(see _In_bins). The seed products' tails of t factors run in
-fixed point (_qprod_fixed) at w = prec + L + 2*bitlen(t+1) + 8 bits, within
-t(t+1) units of 2^-w, a relative error below 2^-(prec+8) (see
-_poch_inf_exps_core). The direct route stays in mpf (_pm_terms), with k+1
-inner theta sums shifted to every m (_gk_direct_core).
+(see _In_bins). Both run with 48 guard bits and measure their cancellation,
+log2(max(1, largest term)/|sum|); where it exceeds 16 bits, they run again with
+their guard and their stop rules raised by the cancellation plus 16, at most 3
+passes in all (_insum_evaluate). The seed products' factors below 2^-8 are one
+log series, sum_m x^m/(m(1 - r^m)), run in fixed point (_log_tail_fixed) at
+w = prec + L + 8 + bitlen(prec) bits, 2^L > 1/(1 - r), a relative error below
+2^-(prec+8) (see _poch_inf_exps_core). The direct route stays in mpf
+(_pm_terms), with k+1 inner theta sums shifted to every m (_gk_direct_core).
 
 Every numeric export returns through evaluate, which runs its core at
 precision_bits + guard bits and rounds once to precision_bits, under one lock
@@ -150,47 +153,58 @@ def _qprod(x, r, n, prod=1):
     return prod, x
 
 
-def _qprod_fixed(x, r, n, w):
-    """2^w prod_{j<n} (1 - x r^j) as an integer, for 0 <= x <= 1 and 0 < r < 1.
+def _log_tail_fixed(x, r, w):
+    """2^w sum_{m>=1} x^m / (m G_m) as an integer, G_m = sum_{i<m} r^i, for
+    0 <= x <= 1/2 and 0 < r < 1: with d = 1 - r, 2^-w times it, divided by d, is
+    -ln prod_{j>=0} (1 - x r^j) = sum_m x^m / (m (1 - r^m)).
 
-    The loop runs in fixed point, as mpmath's exponential_series does: with X and R
-    the integers floor(2^w x), floor(2^w r), P -= P*X >> w; X = X*R >> w. Each
-    truncation loses less than one unit, so X_j is off by at most 2j+1 units and
-    the result by at most n(n+1) units.
+    The loop runs in fixed point over the integers floor(2^w x), floor(2^w r):
+    x^m is off by under 4 units, r^i by under 2i, so G_m (>= 1) by under m^2; each
+    term is one division truncated toward zero, and the loop stops at the first
+    x^m under a unit. After the M <= w/log2(1/x) terms it takes, the result is
+    within 2M + 12 units of the exact sum: 4 H_M <= M + 5 units from the errors
+    of x^m, x^2/(1-x)^2 <= 1 from those of G_m, M truncations and an omitted tail
+    under 4 units. So the log is within (2M + 12) 2^-w / d.
     """
-    p, xf, rf = 1 << w, to_fixed(x._mpf_, w), to_fixed(r._mpf_, w)
-    for _ in range(n):
-        p -= p * xf >> w
-        xf = xf * rf >> w
-    return p
+    one, xf, rf = 1 << w, to_fixed(x._mpf_, w), to_fixed(r._mpf_, w)
+    acc, p, rp, g, m = 0, xf, one, one, 1
+    while p:
+        acc += (p << w) // (m * g)
+        p = p * xf >> w
+        rp = rp * rf >> w
+        g += rp
+        m += 1
+    return acc
 
 
 def _poch_inf_exps_core(start, step, s):
-    """prod_{j>=0} (1 - e^{-s(start + j*step)}) for integer start (possibly <= 0),
-    over the n factors with s(start + j*step) <= (prec + 8) ln 2.
+    """prod_{j>=0} (1 - e^{-s(start + j*step)}) for integer start (possibly <= 0);
+    1 when every factor is within 2^-(prec+8) of 1, and 0 when a factor has
+    start + j*step = 0.
 
-    The head, every factor with x = e^{-s(start + j*step)} >= 1/2 (those with
-    start + j*step <= 0 among them), runs in mpf through _qprod; the tail, its t
-    factors with x < 1/2, through _qprod_fixed at w = prec + L + 2*bitlen(t+1) + 8
-    bits, where L = 1/((1 - r) ln 2) and r = e^{-s*step}. As -ln(1 - x) <= 2x for
-    x <= 1/2, the tail product is at least 2^-L, so its t(t+1) units of truncation
-    are a relative error below 2^-(prec+8). A factor with start + j*step = 0 makes it 0.
+    The head, every factor with x = e^{-s(start + j*step)} >= 2^-8 (those with
+    start + j*step <= 0 among them), runs in mpf through _qprod. The tail, from
+    the first x < 2^-8 on, is exp(-sum_{m>=1} x^m / (m (1 - r^m))), r = e^{-s*step},
+    d = 1 - r: the series runs in fixed point (_log_tail_fixed) at
+    w = prec + L + 8 + bitlen(prec) bits, 2^L > 1/d, and one mp.exp ends it. Its
+    M <= w/8 terms are within (2M + 12) 2^-w / d of the log, a relative error
+    below 2^-(prec+8) in the tail. The factors past the last one above
+    2^-(prec+8) move the product by at most 2^-(prec+8)/d relative, which is all
+    that separates it from the product cut there.
     """
     n = int(mp.floor(((mp.mp.prec + 8) * LN2 / s - start) / step)) + 1
     if n <= 0:
         return mp.mpf(1)
     if start <= 0 and start % step == 0:
         return mp.mpf(0)
-    sf = float(s)
-    head = min(n, max(0, int(math.floor((LN2 / sf - start) / step)) + 1))
+    head = min(n, max(0, int(math.floor((8 * LN2 / float(s) - start) / step)) + 1))
     r = mp.exp(-s * step)
     prod, x = _qprod(mp.exp(-s * start), r, head)
     if head == n:
         return prod
-    t = n - head
-    tail_bits = int(1 / (-math.expm1(-sf * step) * LN2)) + 1
-    w = mp.mp.prec + tail_bits + 2 * (t + 1).bit_length() + 8
-    return prod * mp.mpf((_qprod_fixed(x, r, t, w), -w))
+    d = 1 - r
+    w = mp.mp.prec + int(1 / d).bit_length() + 8 + mp.mp.prec.bit_length()
+    return prod * mp.exp(-mp.mpf((_log_tail_fixed(x, r, w), -w)) / d)
 
 
 def _qq_inf_core(s, use_transform=None):
@@ -463,11 +477,6 @@ def _m_sum(terms, k, cfg, cap_message, period=1):
     raise TermCapExceeded(cap_message)
 
 
-def _insum_guard(k, sf):
-    """Guard bits of the I_n sums at s = sf: 96 plus log2(e)/(k(k+1)s)."""
-    return int(1.4427 / (k * (k + 1) * sf)) + 96
-
-
 def _In_head_bits(k, sf, starts):
     """(h, L) of the truncation bound 2^h K^3 units, K = M + 1 + L (see _In_bins):
     h = b + v + 2 with 2^b >= max(1, |u_r|) and 2^v >= e^{pi^2/(6ks)}, L = 1/(ks)."""
@@ -547,27 +556,53 @@ def _In_bins(k, n, s, cfg):
     return [mp.mpf((b, -w)) for b in bins], mp.mpf((maxmag, -w))
 
 
-def _In_from_bins(k, n, bins):
-    """I_n = sum_r e^{i pi r(n+k+1)/(k+1)} bins[r] (see _In_bins)."""
+def _phase_roots(k):
+    """The 2(k+1) phases e^{i pi j/(k+1)}, j = 0..2k+1, at the working precision."""
+    return [mp.expjpi(frac_to_mpf(Fraction(j, k + 1))) for j in range(2 * (k + 1))]
+
+
+def _In_from_bins(k, n, bins, roots):
+    """I_n = sum_r e^{i pi r(n+k+1)/(k+1)} bins[r] (see _In_bins), each phase read
+    from roots = _phase_roots(k) at j = r(n+k+1) mod 2(k+1)."""
     acc = 0
     for r, b in enumerate(bins):
-        acc += mp.expjpi(frac_to_mpf(Fraction(r * (n + k + 1), k + 1) % 2)) * b
+        acc += roots[r * (n + k + 1) % (2 * (k + 1))] * b
     return acc
+
+
+def _insum_evaluate(cfg: EvalConfig, core, *args):
+    """evaluate for a core(*args, sub) that returns (value, bits of cancellation)
+    and runs its stop rules at sub.threshold: first with 48 guard bits and
+    sub = cfg; while the measured cancellation exceeds 16 + extra, again with
+    extra = cancellation + 16 more guard bits and sub = EvalConfig(p + extra). After
+    3 passes it raises NonConvergent."""
+    extra = 0
+    for _ in range(3):
+        val, lost = evaluate(cfg, 48 + extra, core, *args,
+                             EvalConfig(cfg.precision_bits + extra))
+        if lost <= extra + 16:
+            return val
+        extra = lost + 16
+    raise NonConvergent(f"cancellation of {lost} bits persists after 3 passes")
 
 
 def I_n_num(k, n, s, cfg: EvalConfig):
     """I_n(s) = sum_m (-1)^m e^{i pi m n/(k+1)} q^{km(m+1)/2 - km^2/(2(k+1))}
-    / ((q^k;q^k)_m (q^{k+1};q^{k+1})_{-km/(k+1)}), for odd n."""
+    / ((q^k;q^k)_m (q^{k+1};q^{k+1})_{-km/(k+1)}), for odd n.
+
+    Sized by its measured cancellation, log2(max(1, largest term)/|I_n|), as
+    gk_num's insum route is (_insum_evaluate)."""
     check_k(k)
     if n % 2 == 0:
         raise ValueError("I_n is defined for odd n")
     if not as_float(s) > 0:
         raise NonConvergent("I_n needs s > 0")
 
-    def core():
-        bins, _ = _In_bins(k, n, frac_to_mpf(s), cfg)
-        return _In_from_bins(k, n, bins)
-    return evaluate(cfg, _insum_guard(k, as_float(s)), core)
+    def core(sub):
+        bins, mm = _In_bins(k, n, frac_to_mpf(s), sub)
+        val = _In_from_bins(k, n, bins, _phase_roots(k))
+        return val, _lost_bits(max(mp.mpf(1), mm), val)
+    return _insum_evaluate(cfg, core)
 
 
 _GK_SERIES_CACHE: dict = {}  # k -> the longest exact g_k series computed
@@ -591,11 +626,14 @@ def _gk_series_core(k, s, cfg):
 def _gk_insum_core(k, s, cfg):
     """The theta-sum representation with the theta factors inverted and the sums
     regrouped over odd n (the exact odd-n decomposition of the relative error);
-    numerically stable for small s because the e^{pi^2/(6(k+1)s)}-scale
-    cancellation of the plain m-sum never appears. One m-loop (_In_bins) serves
-    every odd n. The odd-n loop runs to n = sqrt((prec + 64) ln2/c) + 8 at most
-    (at least 200), c = pi^2/(2k(k+1)s), where its weights have fallen below
-    2^-(prec+64); a cap past max_terms raises TermCapExceeded before any term."""
+    the e^{pi^2/(6(k+1)s)}-scale cancellation of the plain m-sum never appears,
+    though the regrouped sums still cancel as s falls (0 bits for k = 2..6 at
+    s >= 0.05; for k = 2, 26 at s = 0.01 and 180 at s = 0.002). One m-loop
+    (_In_bins) serves every odd n. The odd-n loop runs to n = sqrt((prec + 64)
+    ln2/c) + 8 at most (at least 200), c = pi^2/(2k(k+1)s), where its weights have
+    fallen below 2^-(prec+64); a cap past max_terms raises TermCapExceeded before
+    any term. Returns (value, bits of cancellation of the odd-n sum against
+    max(1, largest m-term)) for _insum_evaluate, which sizes cfg from it."""
     s = frac_to_mpf(s)
     c = mp.pi ** 2 / (2 * k * (k + 1) * s)
     cap = max(200, math.isqrt(int((mp.mp.prec + 64) * LN2 / c)) + 8)
@@ -605,17 +643,19 @@ def _gk_insum_core(k, s, cfg):
     thr = cfg.threshold
     bins, mm = _In_bins(k, 1, s, cfg)
     imax = max(mp.mpf(1), mm)
+    roots = _phase_roots(k)
     n = 1
     while n < cap:
         w_n = mp.exp(-c * (n * n - 1))
         if n > 1 and w_n * imax * 16 < thr * max(abs(tot), mp.mpf(1)):
             break
-        tot += 2 * w_n * mp.re(_In_from_bins(k, n, bins))
+        tot += 2 * w_n * mp.re(_In_from_bins(k, n, bins, roots))
         n += 2
     else:
         raise NonConvergent(f"odd-n sum did not converge at k={k}, s={s}")
     ratio = _qq_inf_core((k + 1) * s) / _qq_inf_core(k * s)
-    return tot * ratio * mp.sqrt(2 * mp.pi / (k * (k + 1) * s)) * mp.exp(-c)
+    return (tot * ratio * mp.sqrt(2 * mp.pi / (k * (k + 1) * s)) * mp.exp(-c),
+            _lost_bits(imax, tot))
 
 
 def _gk_direct_core(k, s, cfg):
@@ -674,6 +714,13 @@ def gk_num(k, s, cfg: EvalConfig, route: str = "auto"):
     default for s >= 1); "insum" is the theta-sum formula with inverted thetas regrouped as
     the odd-n sum (default for s < 1); "direct" is the plain m-sum with directly
     summed thetas, kept as the independent oracle for the other two.
+
+    The insum route runs with 48 guard bits and measures its cancellation; above
+    16 bits it runs again with its guard and stop rules raised by the
+    cancellation plus 16, at most 3 passes before NonConvergent (_insum_evaluate).
+    The direct route expects C = log2(e) (pi^2/(6(k+1)s) + 1/(k(k+1)s)) bits of
+    cancellation: it runs with C + 96 guard bits and stops its m-sum at
+    2^-(p+C+32) of its largest term.
     """
     check_k(k)
     sf = as_float(s)
@@ -682,15 +729,14 @@ def gk_num(k, s, cfg: EvalConfig, route: str = "auto"):
     if route == "auto":
         route = "series" if sf >= 1 else "insum"
     if route == "series":
-        core, guard = _gk_series_core, 64
-    elif route == "insum":
-        core, guard = _gk_insum_core, _insum_guard(k, sf)
-    elif route == "direct":
-        core, guard = _gk_direct_core, int(1.4427 * math.pi ** 2 / (6 * (k + 1) * sf)
-                                           + 1.4427 / (k * (k + 1) * sf)) + 96
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    return evaluate(cfg, guard, core, k, s, cfg)
+        return evaluate(cfg, 64, _gk_series_core, k, s, cfg)
+    if route == "insum":
+        return _insum_evaluate(cfg, _gk_insum_core, k, s)
+    if route == "direct":
+        cancel = int(1.4427 * math.pi ** 2 / (6 * (k + 1) * sf) + 1.4427 / (k * (k + 1) * sf))
+        return evaluate(cfg, cancel + 96, _gk_direct_core, k, s,
+                        EvalConfig(cfg.precision_bits + cancel))
+    raise ValueError(f"unknown route {route!r}")
 
 
 def relative_error_num(k, s, cfg: EvalConfig, route: str = "auto"):

@@ -5,6 +5,7 @@ multipliers. Frozen digests pin the computed values bit for bit."""
 from __future__ import annotations
 
 import hashlib
+import math
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -77,7 +78,8 @@ class TestBinnedIn:
     @staticmethod
     def per_n(k, n, s, cfg):
         """I_n by one m-loop for this n alone: the phase applied to every term."""
-        with mp.workprec(cfg.precision_bits + hires._insum_guard(k, float(F(s)))):
+        guard = int(1.4427 / (k * (k + 1) * float(F(s)))) + 96
+        with mp.workprec(cfg.precision_bits + guard):
             sv = mp.mpf(s)
             seeds = hires._pm_seeds(k, sv)
             qc = mp.mpf(1)
@@ -121,10 +123,15 @@ class TestBinnedIn:
 
 class TestFixedPointProduct:
     @staticmethod
-    def exact_units(x, r, n, w):
-        """2^w prod_{j<n} (1 - x r^j) for the given mpf x and r, to far below a unit."""
-        with mp.workprec(w + 64 + 2 * (n + 1).bit_length()):
-            return hires._qprod(x, r, n)[0] * mp.mpf(2) ** w
+    def exact_units(x, r, w):
+        """2^w (1 - r) (-ln prod_{j>=0} (1 - x r^j)), the sum _log_tail_fixed
+        approximates, from the product at w + 64 bits."""
+        with mp.workprec(w + 64):
+            eps = mp.mpf(2) ** -(w + 80)
+            prod, xj = mp.mpf(1), mp.mpf(x)
+            while xj > eps:
+                prod, xj = prod * (1 - xj), xj * r
+            return -mp.log(prod) * (1 - r) * mp.mpf(2) ** w
 
     @pytest.mark.parametrize("xs,rs,n,w", [
         ("0.49", "0.97", 5000, 300),
@@ -133,16 +140,20 @@ class TestFixedPointProduct:
         ("0.25", "0.5", 0, 200),
         ("0", "0.9", 40, 128),
         ("0.001", "0.01", 3, 400),
+        ("0.0039", "0.994", 0, 300),
     ])
     def test_within_documented_bound(self, xs, rs, n, w):
+        """The log-series tail of (x; r)_inf after its first n factors."""
         with mp.workprec(w + 32):
-            x, r = mp.mpf(xs), mp.mpf(rs)
-        got = hires._qprod_fixed(x, r, n, w)
-        ref = self.exact_units(x, r, n, w)
+            r = mp.mpf(rs)
+            x = mp.mpf(xs) * r ** n
+        got = hires._log_tail_fixed(x, r, w)
+        ref = self.exact_units(x, r, w)
+        terms = int(w / -math.log2(float(x))) if x else 0
         with mp.workprec(w + 64):
-            assert abs(got - ref) <= n * (n + 1)
-        if n == 0 or xs == "0":
-            assert got == 1 << w
+            assert abs(got - ref) <= 2 * terms + 12
+        if xs == "0":
+            assert got == 0
 
     @pytest.mark.parametrize("start", [-7, -1, 0, 1, 3, 4000])
     @pytest.mark.parametrize("sstr,step,prec", [("0.01", 3, 256), ("0.05", 4, 384),
