@@ -12,12 +12,13 @@ pentagonal series; a theta's terms come from its exact n-window (_theta_terms),
 and so do the pentagonal terms. Products of binomials turn each factor with a
 negative exponent around, (1 + eps q^e) = eps q^e (1 + eps q^{-e}), and multiply
 the rest into a dense integer list, one slice update each, as is a division by
-1 - q^e. Andrews' m-sum adds each theta term times 1/(q^k;q^k)_m as one slice
-and folds each residue class of m mod k+1 in Horner form. chi is summed in
-nested form, and g_2's product side multiplies chi's list in place by the
-factors of (q;q^6)_inf (q^5;q^6)_inf. The DP oracle packs each row into one
-Python integer, one fixed-width field per exponent, and divides by (1 - q^s) by
-shifting and doubling.
+1 - q^e. Andrews' m-sum adds each theta term times 1/(q^k;q^k)_m as one slice,
+folds each residue class of m mod k+1 in Horner form and divides by
+(q^k;q^k)_inf by Euler's pentagonal recurrence. chi is summed in nested form,
+and g_2's product side multiplies chi's list in place by the factors of
+(q;q^6)_inf (q^5;q^6)_inf. The DP oracle packs each row into one Python integer,
+one field per exponent, highest exponent first (q^s is a right shift), drops
+rows past the order and divides by (1 - q^s) by shifting and doubling.
 """
 from __future__ import annotations
 
@@ -117,6 +118,20 @@ def pochhammer_series(a: int, b: int, order: int) -> FormalSeries:
     return _poch_product([(a, b)], order)
 
 
+def _divide_pentagonal(c: list, b: int) -> None:
+    """c / (q^b; q^b)_inf in place, c the dense coefficients of q^0, q^1, ...:
+    with Euler's pentagonal series (q^b; q^b)_inf = 1 + sum_{e>0} p_e q^e,
+    c[x] -= sum_{0<e<=x} p_e c[x-e] in ascending x."""
+    terms = list(pochhammer_series(b, b, len(c) - 1).items())[1:]
+    for x in range(b, len(c)):
+        acc = c[x]
+        for e, p in terms:
+            if e > x:
+                break
+            acc = acc + c[x - e] if p < 0 else acc - c[x - e]
+        c[x] = acc
+
+
 def finite_pochhammer_series(a: int, b: int, n: int, order: int) -> FormalSeries:
     """(q^a; q^b)_n = prod_{m=0}^{n-1} (1 - q^{a+mb})."""
     if b < 1 or n < 0:
@@ -186,10 +201,10 @@ def gk_series_andrews(k: int, order: int) -> FormalSeries:
     turned-around ones, G_m being at most k binomials. An ascending pass keeps
     U_m = +-q^{km(m+1)/2 + s_neg} theta / (q^k;q^k)_m, one sparse-by-dense
     product each; a descending pass folds each residue class in Horner form,
-    G_{m1}(U_{m1} + G_{m2}(U_{m2} + ...)), and multiplies by S_r once. The sum
-    is divided by (q^k;q^k)_infinity one factor (1 - q^e) at a time. Each U_m
+    G_{m1}(U_{m1} + G_{m2}(U_{m2} + ...)), and multiplies by S_r once. Each U_m
     and each class sum is a dense list from its lowest possible exponent to
-    q^order (_add_tails adds two of them).
+    q^order (_add_tails adds two of them). The sum is divided by
+    (q^k;q^k)_infinity in place by Euler's pentagonal recurrence.
     """
     check_k(k)
     if order < 0:
@@ -246,8 +261,7 @@ def gk_series_andrews(k: int, order: int) -> FormalSeries:
                 _times_binomial(acc[1], -1, e)
             total = _add_tails(total, acc)
     total = total[1]
-    for e in range(k, order + 1, k):
-        _divide_binomial(total, e)
+    _divide_pentagonal(total, k)
     g = FormalSeries(0, total, order)
     if g.low_exponent < 0 or g.coefficient(0) != 1:
         raise RuntimeError(f"g_{k} expansion failed consistency check: low={g.low_exponent}")
@@ -267,44 +281,44 @@ def Gk_series_oracle(k: int, order: int) -> FormalSeries:
     of consecutively used sizes (0..k-1). Independent of the theta-sum formula.
     After size s, row r counts partitions that use s, s-1, ..., s-r+1 but not
     s-r: row 0 is the sum of the previous rows, and row r is the previous row
-    r-1 times q^s/(1 - q^s). Its lowest possible exponent is low[r] =
-    low[r-1] + s, the previous row's plus s; a row with low[r] > order is zero.
+    r-1 times q^s/(1 - q^s). Its lowest exponent s + ... + (s-r+1), coefficient
+    1, grows with r and s: the row list ends at the first row past the order.
 
     Each row is one Python integer holding the coefficient of q^x in bits
-    xB..xB+B-1 (Kronecker packing), cut to q^order by a mask. Multiplying by
-    q^s is a shift by sB bits, and 1/(1 - q^s) = (1 + q^s)(1 + q^{2s})(1 + q^{4s})...
-    is applied by doubling, h += h << step*B, until the step exceeds
-    order - low[r]. Every coefficient, of a row, of a sum of rows or of a
-    partial product, counts a set of partitions of some x <= order, so it is
-    non-negative and at most p(order) <= exp(pi sqrt(2 order/3)), strictly for
-    order >= 1 (Erdős, Ann. Math. 43 (1942)). B = _field_bits(order) exceeds
-    log2 of that bound by more than one bit, so no sum reaches 2^B and no carry crosses into the next
-    field. B is whole bytes, so the result unpacks in one to_bytes pass.
+    (order-x)B..(order-x)B+B-1 (Kronecker packing, highest exponent first); a
+    row with lowest exponent L has bit length (order - L)B + 1. Multiplying by
+    q^s is a right shift by sB bits, which drops the fields past q^order.
+    Doubling, h += h >> step*B while step <= order - L (while stepB is below the
+    bit length), applies 1/(1 - q^s) = (1 + q^s)(1 + q^{2s})(1 + q^{4s})...
+    Every coefficient, of a row, of a sum of rows or of a partial product,
+    counts a set of partitions of some x <= order, so it is non-negative and at
+    most p(order) <= exp(pi sqrt(2 order/3)), strictly for order >= 1 (Erdős,
+    Ann. Math. 43 (1942)). B = _field_bits(order) exceeds log2 of that bound by
+    more than one bit, so no sum reaches 2^B and no carry crosses into the next
+    field. B is whole bytes, so the result unpacks in one to_bytes pass, most
+    significant byte first.
     """
     check_k(k)
     if order < 0:
         raise ValueError("order must be >= 0")
     n = order
     width = _field_bits(n)
-    mask = (1 << (n + 1) * width) - 1
-    f = [1] + [0] * (k - 1)
-    low = [0] + [n + 1] * (k - 1)
+    f = [1 << n * width]
     for size in range(1, n + 1):
-        low = [0] + [lo + size for lo in low[:-1]]
         new = [sum(f)]
-        for r in range(1, k):
-            h = 0
-            if low[r] <= n:
-                h = (f[r - 1] << size * width) & mask
-                step = size
-                while step <= n - low[r]:
-                    h += (h << step * width) & mask
-                    step *= 2
+        for r in range(1, min(len(f) + 1, k)):
+            h = f[r - 1] >> size * width
+            if not h:
+                break
+            step = size
+            while step * width < h.bit_length():
+                h += h >> step * width
+                step *= 2
             new.append(h)
         f = new
     w = width // 8
-    data = sum(f).to_bytes((n + 1) * w, "little")
-    return FormalSeries(0, [int.from_bytes(data[i: i + w], "little")
+    data = sum(f).to_bytes((n + 1) * w, "big")
+    return FormalSeries(0, [int.from_bytes(data[i: i + w], "big")
                             for i in range(0, len(data), w)], order)
 
 
