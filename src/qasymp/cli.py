@@ -1,6 +1,9 @@
 """Command-line front end.
 
-Subcommands: coeffs, verify, zagier, beta, wright, plotdata.
+Subcommands: coeffs, verify, zagier, beta, wright, plotdata. Each declares only
+the options it reads (README lists them), every shared default once in
+_OPTIONS, so argparse rejects any other option with exit 2. The parsed namespace
+goes straight to the subcommand's cmd_* function, set as its ``run`` default.
 Exit codes: 0 success, 1 verification failure, 2 usage/domain error,
 3 convergence failure, 4 rational-reconstruction failure.
 All outputs are deterministic: identical invocations produce identical bytes.
@@ -11,17 +14,14 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
 from . import expansion, hires, qseries, wright
-from .errors import (DivisionByZeroBeta, InvalidK, InvalidRho, NonConvergent,
-                     PoleAtNonpositive, QAsympError, ReconstructionFailed,
-                     SeriesTruncationError, TermCapExceeded)
+from .errors import (DivisionByZeroBeta, NonConvergent, QAsympError,
+                     ReconstructionFailed, TermCapExceeded)
 from .exactcore import rational_to_str
 from .hires import EvalConfig
 
@@ -50,48 +50,39 @@ ZAGIER_T2 = (
 )
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation: s values are exact decimal rationals, converted to
-    floating form once, at the target precision."""
-
-    subcommand: str
-    k: int = 3
-    order: int = 10
-    n_order: int = 1
-    s_grid: tuple = ()
-    precision_bits: int = 256
-    out: str | None = None
-    fmt: str = "csv"
-    which: str = "gk"
-    m_max: int = 5
-
-    @property
-    def eval_config(self) -> EvalConfig:
-        return EvalConfig(self.precision_bits)
-
-
-def _parse_s_grid(text: str) -> tuple:
+def _s_grid(text: str) -> tuple:
+    """--s: comma-separated positive decimals, kept as exact rationals."""
     vals = tuple(Fraction(part.strip()) for part in text.split(",") if part.strip())
     if not vals or any(v <= 0 for v in vals):
-        raise ValueError("s grid must be positive decimal values")
+        raise argparse.ArgumentTypeError("s grid must be positive decimal values")
     return vals
 
 
-def _emit(rows, header, cfg: RunConfig) -> str:
-    if cfg.fmt == "json":
+def _precision_bits(text: str) -> int:
+    bits = int(text)
+    if bits < 64:
+        raise argparse.ArgumentTypeError("precision must be at least 64 bits")
+    return bits
+
+
+def _grid(ns: argparse.Namespace) -> list:
+    """Each --s value as its decimal text and as an mpf at precision_bits + 32."""
+    with hires.LOCK, mp.workprec(ns.precision_bits + 32):
+        return [(str(v), hires.frac_to_mpf(v)) for v in ns.s_grid]
+
+
+def _emit(rows, header, ns: argparse.Namespace) -> str:
+    if ns.fmt == "json":
         payload = [dict(zip(header, row)) for row in rows]
         return json.dumps(payload, indent=0) + "\n"
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     return buf.getvalue()
 
 
-def _write(text: str, cfg: RunConfig) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _write(text: str, ns: argparse.Namespace) -> None:
+    if ns.out:
+        with open(ns.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -101,17 +92,15 @@ def _coeff_str(c, fmt: str) -> str:
     return rational_to_str(c) if fmt == "json" else str(Fraction(c))
 
 
-def cmd_coeffs(cfg: RunConfig) -> int:
-    if cfg.which == "gk":
-        series = qseries.gk_series_andrews(cfg.k, cfg.order)
-    elif cfg.which == "Gk":
-        series = qseries.Gk_series_oracle(cfg.k, cfg.order)
-    elif cfg.which == "chi":
-        series = qseries.chi_series(cfg.order)
+def cmd_coeffs(ns: argparse.Namespace) -> int:
+    if ns.which == "gk":
+        series = qseries.gk_series_andrews(ns.k, ns.order)
+    elif ns.which == "Gk":
+        series = qseries.Gk_series_oracle(ns.k, ns.order)
     else:
-        raise ValueError(f"unknown series {cfg.which!r}")
-    rows = [(n, _coeff_str(series.coefficient(n), cfg.fmt)) for n in range(cfg.order + 1)]
-    _write(_emit(rows, ("n", "coefficient"), cfg), cfg)
+        series = qseries.chi_series(ns.order)
+    rows = [(n, _coeff_str(series.coefficient(n), ns.fmt)) for n in range(ns.order + 1)]
+    _write(_emit(rows, ("n", "coefficient"), ns), ns)
     return EXIT_OK
 
 
@@ -119,28 +108,26 @@ def _w_of_s(k: int, s):
     return mp.power(k + 1, mp.mpf(k) / (k + 1)) / (k * mp.power(s, mp.mpf(1) / (k + 1)))
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    ec = cfg.eval_config
+def cmd_verify(ns: argparse.Namespace) -> int:
+    ec = EvalConfig(ns.precision_bits)
     rows = []
     deviations = []
-    for sf in cfg.s_grid:
-        with hires.LOCK, mp.workprec(cfg.precision_bits + 32):
-            s = hires.frac_to_mpf(sf)
-        g, r = hires.gk_and_relative_error_num(cfg.k, s, ec)
-        e = expansion.expansion_eval(cfg.k, cfg.n_order, s, ec)
-        with hires.LOCK, mp.workprec(cfg.precision_bits + 32):
+    for text, s in _grid(ns):
+        g, r = hires.gk_and_relative_error_num(ns.k, s, ec)
+        e = expansion.expansion_eval(ns.k, ns.n_order, s, ec)
+        with hires.LOCK, mp.workprec(ns.precision_bits + 32):
             dev = abs(g - e) / abs(g)
-            w0 = wright.W_j_num(cfg.k, 0, _w_of_s(cfg.k, s), ec)
+            w0 = wright.W_j_num(ns.k, 0, _w_of_s(ns.k, s), ec)
         deviations.append(dev)
-        rows.append((str(sf), *(hires.format_real(x, ec) for x in (g, e, dev, r, w0))))
-    _write(_emit(rows, ("s", "g_k", "expansion", "rel_dev", "R_k", "W0"), cfg), cfg)
+        rows.append((text, *(hires.format_real(x, ec) for x in (g, e, dev, r, w0))))
+    _write(_emit(rows, ("s", "g_k", "expansion", "rel_dev", "R_k", "W0"), ns), ns)
     monotone = all(deviations[i + 1] < deviations[i] for i in range(len(deviations) - 1))
     return EXIT_OK if monotone else EXIT_CHECK_FAILED
 
 
-def cmd_zagier(cfg: RunConfig) -> int:
-    ec = cfg.eval_config
-    t1, t2 = expansion.zagier_t_coeffs(cfg.m_max, ec)
+def cmd_zagier(ns: argparse.Namespace) -> int:
+    ec = EvalConfig(ns.precision_bits)
+    t1, t2 = expansion.zagier_t_coeffs(ns.m_max, ec)
     c1 = expansion.zagier_c1(ec)
     c2 = expansion.zagier_c2(ec)
     lines = [
@@ -150,65 +137,70 @@ def cmd_zagier(cfg: RunConfig) -> int:
     rows = []
     for name, got, ref in (("t1", t1, ZAGIER_T1), ("t2", t2, ZAGIER_T2)):
         for m, val in enumerate(got):
-            if m < len(ref):
-                verdict = "MATCH" if val == ref[m] else "FAIL"
-            else:
-                verdict = "NEW"
+            verdict = "NEW" if m >= len(ref) else "MATCH" if val == ref[m] else "FAIL"
             rows.append((name, m, str(val), verdict))
-    body = _emit(rows, ("series", "m", "coefficient", "verdict"), cfg)
-    _write("\n".join(lines) + "\n" + body, cfg)
+    body = _emit(rows, ("series", "m", "coefficient", "verdict"), ns)
+    _write("\n".join(lines) + "\n" + body, ns)
     return EXIT_OK
 
 
-def cmd_beta(cfg: RunConfig) -> int:
-    ec = cfg.eval_config
+def cmd_beta(ns: argparse.Namespace) -> int:
+    ec = EvalConfig(ns.precision_bits)
     rows = []
-    for j in range(1, cfg.order + 1):
-        b = expansion.beta_coeff(cfg.k, j, ec)
+    for j in range(1, ns.order + 1):
+        b = expansion.beta_coeff(ns.k, j, ec)
         ratio = ""
-        base = j % cfg.k
-        if j > cfg.k and base != 0:
-            ratio = str(expansion.beta_rational(cfg.k, j) / expansion.beta_rational(cfg.k, base))
+        base = j % ns.k
+        if j > ns.k and base != 0:
+            ratio = str(expansion.beta_rational(ns.k, j) / expansion.beta_rational(ns.k, base))
         rows.append((j, hires.format_real(b, ec), ratio))
-    _write(_emit(rows, ("j", "beta", "ratio_to_base"), cfg), cfg)
+    _write(_emit(rows, ("j", "beta", "ratio_to_base"), ns), ns)
     return EXIT_OK
 
 
-def cmd_wright(cfg: RunConfig) -> int:
-    ec = cfg.eval_config
+def cmd_wright(ns: argparse.Namespace) -> int:
+    ec = EvalConfig(ns.precision_bits)
     rows = []
-    for sf in cfg.s_grid:
-        with hires.LOCK, mp.workprec(cfg.precision_bits + 32):
-            w = hires.frac_to_mpf(sf)
-        if cfg.which == "phi":
-            rho = Fraction(cfg.k, cfg.k + 1)
-            with hires.LOCK, mp.workprec(cfg.precision_bits + 32):
+    for text, w in _grid(ns):
+        if ns.which == "phi":
+            rho = Fraction(ns.k, ns.k + 1)
+            with hires.LOCK, mp.workprec(ns.precision_bits + 32):
                 z = w * mp.expjpi(hires.frac_to_mpf(rho))
             val = wright.wright_phi(wright.WrightParams(rho), z, ec)
-            rows.append((str(sf), hires.format_real(mp.re(val), ec),
+            rows.append((text, hires.format_real(mp.re(val), ec),
                          hires.format_real(mp.im(val), ec)))
         else:
-            val = wright.W_j_num(cfg.k, cfg.n_order, w, ec)
-            rows.append((str(sf), hires.format_real(val, ec)))
-    header = ("w", "re_phi", "im_phi") if cfg.which == "phi" else ("w", "W_j")
-    _write(_emit(rows, header, cfg), cfg)
+            val = wright.W_j_num(ns.k, ns.n_order, w, ec)
+            rows.append((text, hires.format_real(val, ec)))
+    header = ("w", "re_phi", "im_phi") if ns.which == "phi" else ("w", "W_j")
+    _write(_emit(rows, header, ns), ns)
     return EXIT_OK
 
 
-def cmd_plotdata(cfg: RunConfig) -> int:
-    ec = cfg.eval_config
+def cmd_plotdata(ns: argparse.Namespace) -> int:
+    ec = EvalConfig(ns.precision_bits)
     rows = []
-    for sf in cfg.s_grid:
-        with hires.LOCK, mp.workprec(cfg.precision_bits + 32):
-            s = hires.frac_to_mpf(sf)
-        g = hires.gk_num(cfg.k, s, ec)
-        e = expansion.expansion_eval(cfg.k, cfg.n_order, s, ec)
-        with hires.LOCK, mp.workprec(cfg.precision_bits + 32):
+    for text, s in _grid(ns):
+        g = hires.gk_num(ns.k, s, ec)
+        e = expansion.expansion_eval(ns.k, ns.n_order, s, ec)
+        with hires.LOCK, mp.workprec(ns.precision_bits + 32):
             dev = abs(g - e) / abs(g)
             logdev = mp.log10(dev) if dev > 0 else mp.mpf("-inf")
-        rows.append((str(sf), mp.nstr(logdev, 17)))
-    _write(_emit(rows, ("s", "log10_rel_dev"), cfg), cfg)
+        rows.append((text, mp.nstr(logdev, 17)))
+    _write(_emit(rows, ("s", "log10_rel_dev"), ns), ns)
     return EXIT_OK
+
+
+# Each shared option with its one default; a subcommand adds the ones it reads.
+_OPTIONS = {
+    "--k": dict(type=int, default=3),
+    "--order": dict(type=int, default=10),
+    "--N": dict(dest="n_order", type=int, default=1),
+    "--s": dict(dest="s_grid", type=_s_grid, default="0.2,0.1,0.05"),
+    "--prec": dict(dest="precision_bits", type=_precision_bits, default=256),
+    "--format": dict(dest="fmt", choices=("csv", "json"), default="csv"),
+    "--out": dict(),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -218,46 +210,28 @@ def _build_parser() -> argparse.ArgumentParser:
                     "k consecutive part sizes and their small-s asymptotics.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, s_default=None):
-        p.add_argument("--k", type=int, default=3)
-        p.add_argument("--order", type=int, default=10)
-        p.add_argument("--N", dest="n_order", type=int, default=1)
-        p.add_argument("--s", type=str, default=s_default)
-        p.add_argument("--prec", dest="precision_bits", type=int, default=256)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", type=str, default=None)
+    def command(name, run, summary, *flags):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        for flag in (*flags, "--format", "--out"):
+            p.add_argument(flag, **_OPTIONS[flag])
+        return p
 
-    p = sub.add_parser("coeffs", help="dump exact series coefficients")
-    common(p)
+    p = command("coeffs", cmd_coeffs, "dump exact series coefficients", "--k", "--order")
     p.add_argument("--which", choices=("gk", "Gk", "chi"), default="gk")
-
-    p = sub.add_parser("verify", help="compare g_k against the Puiseux expansion on an s grid")
-    common(p, s_default="0.2,0.1,0.05")
-
-    p = sub.add_parser("zagier", help="reproduce Zagier's t1/t2 rational tables")
-    common(p)
+    command("verify", cmd_verify, "compare g_k against the Puiseux expansion on an s grid",
+            "--k", "--N", "--s", "--prec")
+    p = command("zagier", cmd_zagier, "reproduce Zagier's t1/t2 rational tables", "--prec")
     p.add_argument("--m-max", dest="m_max", type=int, default=5)
-
-    p = sub.add_parser("beta", help="dump beta_k(j) values and rational ratios")
-    common(p)
-
-    p = sub.add_parser("wright", help="evaluate W_j (or phi on the relevant ray); --s is the w grid")
-    common(p, s_default="10,20")
+    command("beta", cmd_beta, "dump beta_k(j) values and rational ratios",
+            "--k", "--order", "--prec")
+    p = command("wright", cmd_wright, "evaluate W_j (or phi on the relevant ray) on a w grid",
+                "--k", "--N", "--prec")
+    p.add_argument("--s", dest="s_grid", type=_s_grid, default="10,20", help="the w grid")
     p.add_argument("--which", choices=("Wj", "phi"), default="Wj")
-
-    p = sub.add_parser("plotdata", help="emit (s, log10 relative deviation) pairs")
-    common(p, s_default="0.2,0.1,0.05")
+    command("plotdata", cmd_plotdata, "emit (s, log10 relative deviation) pairs",
+            "--k", "--N", "--s", "--prec")
     return parser
-
-
-_DISPATCH = {
-    "coeffs": cmd_coeffs,
-    "verify": cmd_verify,
-    "zagier": cmd_zagier,
-    "beta": cmd_beta,
-    "wright": cmd_wright,
-    "plotdata": cmd_plotdata,
-}
 
 
 def exit_code_for(exc: BaseException) -> int:
@@ -265,27 +239,18 @@ def exit_code_for(exc: BaseException) -> int:
         return EXIT_NONCONVERGENT
     if isinstance(exc, (ReconstructionFailed, DivisionByZeroBeta)):
         return EXIT_RECONSTRUCTION
-    if isinstance(exc, (InvalidK, InvalidRho, PoleAtNonpositive, SeriesTruncationError,
-                        QAsympError, ValueError)):
+    if isinstance(exc, (QAsympError, ValueError)):
         return EXIT_USAGE
     raise exc
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    kwargs = {k: v for k, v in vars(ns).items() if v is not None}
-    s_text = kwargs.pop("s", None)
     try:
-        if s_text is not None:
-            kwargs["s_grid"] = _parse_s_grid(s_text)
-        cfg = RunConfig(**kwargs)
-        if cfg.precision_bits < 64:
-            raise ValueError("precision must be at least 64 bits")
-        return _DISPATCH[cfg.subcommand](cfg)
+        return ns.run(ns)
     except Exception as exc:  # mapped to the documented exit vocabulary
         sys.stderr.write(f"error: {exc}\n")
         return exit_code_for(exc)

@@ -183,7 +183,8 @@ def _poch_inf_exps_core(start, step, s):
     start + j*step = 0.
 
     The head, every factor with x = e^{-s(start + j*step)} >= 2^-8 (those with
-    start + j*step <= 0 among them), runs in mpf through _qprod. The tail, from
+    start + j*step <= 0 among them), runs in mpf through _qprod; a head of more
+    than max_terms factors raises TermCapExceeded. The tail, from
     the first x < 2^-8 on, is exp(-sum_{m>=1} x^m / (m (1 - r^m))), r = e^{-s*step},
     d = 1 - r: the series runs in fixed point (_log_tail_fixed) at
     w = prec + L + 8 + bitlen(prec) bits, 2^L > 1/d, and one mp.exp ends it. Its
@@ -197,6 +198,8 @@ def _poch_inf_exps_core(start, step, s):
         return mp.mpf(1)
     if start <= 0 and start % step == 0:
         return mp.mpf(0)
+    if (8 * LN2 / s - start) / step > EvalConfig.max_terms:
+        raise TermCapExceeded(f"q-product head past max_terms factors at s={mp.nstr(s, 8)}")
     head = min(n, max(0, int(math.floor((8 * LN2 / float(s) - start) / step)) + 1))
     r = mp.exp(-s * step)
     prod, x = _qprod(mp.exp(-s * start), r, head)

@@ -33,7 +33,7 @@ class TestCoeffs:
         code, out = run_cli(capsys, ["coeffs", "--k", "3", "--which", "gk", "--order", "40"])
         assert code == 0
         oracle = gk_from_oracle(3, 40)
-        cfg = cli.RunConfig(subcommand="coeffs")
+        cfg = cli._build_parser().parse_args(["coeffs"])
         rows = [(n, cli._coeff_str(oracle.coefficient(n), "csv")) for n in range(41)]
         expected = cli._emit(rows, ("n", "coefficient"), cfg)
         assert out == expected
