@@ -9,10 +9,6 @@ class InvertAtZero(QAsympError):
     """Series inversion requested but the lowest stored coefficient is zero."""
 
 
-class ExpWithConstantTerm(QAsympError):
-    """Series exponential requested for a series with a constant (or lower) term."""
-
-
 class SeriesTruncationError(QAsympError):
     """A coefficient beyond the truncation order was read."""
 

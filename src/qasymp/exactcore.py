@@ -17,9 +17,8 @@ from math import comb
 from operator import add
 from typing import Iterable, Sequence, Union
 
-from .errors import ExpWithConstantTerm, InvertAtZero, SeriesTruncationError
+from .errors import InvertAtZero, SeriesTruncationError
 
-Rational = Fraction
 Coeff = Union[int, Fraction]
 
 
@@ -27,11 +26,6 @@ def rational_to_str(x: Coeff) -> str:
     """Serialize a rational as 'p/q' (denominator always shown, e.g. '-7/192')."""
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
-
-
-def rational_from_str(s: str) -> Fraction:
-    """Parse 'p/q', a bare integer, or a decimal string into an exact Fraction."""
-    return Fraction(s.strip())
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +216,6 @@ class FormalSeries:
             if c != 0:
                 yield self.low + i, c
 
-    def assert_power_series(self) -> "FormalSeries":
-        """Raise if any nonzero coefficient sits at a negative exponent."""
-        if self.coeffs and self.low < 0:
-            raise ValueError(f"negative-exponent coefficient survives at q^{self.low}")
-        return self
-
     def eq_to_order(self, other: "FormalSeries", order: int) -> bool:
         """Compare all coefficients with exponent <= order (must be known on both sides)."""
         if order > self.trunc or order > other.trunc:
@@ -347,26 +335,6 @@ class FormalSeries:
                 out.append(-Fraction(acc) / a0)
         return FormalSeries(-la, out, n_rel - la)
 
-    def exp(self) -> "FormalSeries":
-        """Series exponential; operand must have low_exponent >= 1."""
-        if self.coeffs and self.low < 1:
-            raise ExpWithConstantTerm("exp requires a series with no constant term")
-        t = self.trunc
-        if t < 0:
-            return FormalSeries.zero(t)
-        out: list[Coeff] = [1] + [0] * t
-        a = [0] * (t + 1)
-        for e, c in self.items():
-            if e <= t:
-                a[e] = c
-        for n in range(1, t + 1):
-            acc = 0
-            for i in range(1, n + 1):
-                if a[i] != 0:
-                    acc += i * a[i] * out[n - i]
-            out[n] = Fraction(acc, n) if acc != 0 else 0
-        return FormalSeries(0, out, t)
-
     # -- serialization ------------------------------------------------------
 
     def to_pairs(self) -> list[tuple[int, str]]:
@@ -375,8 +343,3 @@ class FormalSeries:
 
     def to_json(self) -> str:
         return json.dumps(self.to_pairs())
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, str]], truncation_order: int) -> "FormalSeries":
-        terms = {int(e): rational_from_str(s) for e, s in pairs}
-        return cls.from_terms(terms, truncation_order)

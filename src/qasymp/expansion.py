@@ -202,49 +202,6 @@ def _beta_at(k: int, j: int, precision_bits: int):
     return evaluate(EvalConfig(precision_bits), 32, core)
 
 
-@dataclass(frozen=True)
-class PuiseuxExpansion:
-    """The s -> 0 expansion object:
-    g_k(e^{-s}) ~ amp * sqrt(2 pi / s) * exp(pi2_coeff * pi^2 / s + s/24)
-                 * (constant + sum_{j=1}^{k N} beta_k(j) s^{j/k}).
-    Prefactor data is exact; the beta coefficients carry their precision."""
-
-    k: int
-    order: int  # N: coefficients j = 1..k*N are stored
-    precision_bits: int
-    coefficients: tuple  # beta_k(1..kN) as mpf
-    amp: Fraction  # 1/(k+1)
-    pi2_coeff: Fraction  # -1/(3k(k+1)), multiplies pi^2/s in the exponent
-    linear_coeff: Fraction  # 1/24, multiplies s in the exponent
-    constant: Fraction  # (k+1)/k
-
-    def to_json(self) -> str:
-        digits = max(1, int(self.precision_bits * 0.30103))
-        return json.dumps({
-            "k": self.k,
-            "order": self.order,
-            "precision_bits": self.precision_bits,
-            "amp": rational_to_str(self.amp),
-            "pi2_coeff": rational_to_str(self.pi2_coeff),
-            "linear_coeff": rational_to_str(self.linear_coeff),
-            "constant": rational_to_str(self.constant),
-            "beta": [mp.nstr(b, digits) for b in self.coefficients],
-        })
-
-
-def build_puiseux(k: int, n_order: int, cfg: EvalConfig) -> PuiseuxExpansion:
-    """Assemble the expansion object with beta_k(1..k*n_order)."""
-    check_k(k)
-    if n_order < 0:
-        raise ValueError("N must be >= 0")
-    betas = tuple(beta_coeff(k, j, cfg) for j in range(1, k * n_order + 1))
-    return PuiseuxExpansion(
-        k=k, order=n_order, precision_bits=cfg.precision_bits, coefficients=betas,
-        amp=Fraction(1, k + 1), pi2_coeff=Fraction(-1, 3 * k * (k + 1)),
-        linear_coeff=Fraction(1, 24), constant=Fraction(k + 1, k),
-    )
-
-
 def expansion_eval(k: int, n_order: int, s, cfg: EvalConfig):
     """(1/(k+1)) sqrt(2 pi/s) e^{-pi^2/(3k(k+1)s) + s/24}
     ((k+1)/k + sum_{j=1}^{kN} beta_k(j) s^{j/k})."""

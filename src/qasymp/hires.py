@@ -22,7 +22,8 @@ passes in all (_insum_evaluate). The seed products' factors below 2^-8 are one
 log series, sum_m x^m/(m(1 - r^m)), run in fixed point (_log_tail_fixed) at
 w = prec + L + 8 + bitlen(prec) bits, 2^L > 1/(1 - r), a relative error below
 2^-(prec+8) (see _poch_inf_exps_core). The direct route stays in mpf
-(_pm_terms), with k+1 inner theta sums shifted to every m (_gk_direct_core).
+(_pm_terms), with k+1 inner theta sums shifted to every m (_gk_direct_core);
+theta_num's direct sum is one loop of running products for real and complex u.
 
 Every numeric export returns through evaluate, which runs its core at
 precision_bits + guard bits and rounds once to precision_bits, under one lock
@@ -332,19 +333,28 @@ def theta_num(u, s, cfg: EvalConfig, use_inversion=None):
     Direct bilateral sum, or the modular inversion
     sqrt(pi/s) * sum_{n odd} exp(-pi^2 (n+2u)^2 / (4s)).
     u may be complex (u = i*a*s/(2*pi) gives the argument q^a); inversion is the
-    default for s < 1 where the direct sum converges slowly. The sum runs with 48
-    guard bits; where its measured cancellation, log2(largest term/|sum|), comes
-    within 16 bits of them (near a zero of theta), it runs once more with the
-    cancellation plus 48 guard bits.
+    default for s < 1 where the direct sum converges slowly. The direct sum is one
+    loop for real and complex u, with e^{-s n^2} and z^n + z^-n, z = e^{2 pi i u},
+    as running products. Its stop rule, a term below 2^-(p+32) max(largest term,
+    |sum|), needs at least the n with s n^2 >= (p+32) ln2 - ln(2n+1); where that n
+    passes max_terms it raises TermCapExceeded before any term. The sum runs with
+    48 guard bits; where its measured cancellation, log2(largest term/|sum|),
+    comes within 16 bits of them (near a zero of theta), it runs once more with
+    its guard and its stop rule raised by the cancellation.
     """
-    if not as_float(s) > 0:
+    sf = as_float(s)
+    if not sf > 0:
         raise NonConvergent("theta_num needs s > 0")
     if use_inversion is None:
-        use_inversion = as_float(s) < 1
+        use_inversion = sf < 1
+    n = cfg.max_terms
+    if not use_inversion and sf * n * n < (cfg.precision_bits + 32) * LN2 - math.log(2 * n + 1):
+        raise TermCapExceeded(f"theta_num's direct sum needs over max_terms terms at s={s}")
     guard = 48
     val, lost = evaluate(cfg, guard, _theta_sum, u, s, cfg, use_inversion)
     if lost > guard - 16:
-        val, _ = evaluate(cfg, lost + guard, _theta_sum, u, s, cfg, use_inversion)
+        val, _ = evaluate(cfg, lost + guard, _theta_sum, u, s,
+                          EvalConfig(cfg.precision_bits + lost), use_inversion)
     return val
 
 
@@ -375,49 +385,30 @@ def _theta_sum(u, s, cfg, use_inversion):
         else:
             raise TermCapExceeded("theta_num inversion exceeded max_terms")
         return part(mp.sqrt(mp.pi / sv) * tot), _lost_bits(maxmag, tot)
-    # e = e^{-s n^2} from two running multipliers: e *= d, d *= e^{-2s}
+    # e = e^{-s n^2} from running multipliers, e *= d, d *= e^{-2s}; z^n, z^-n too
     e, d, d2 = mp.exp(-sv), mp.exp(-3 * sv), mp.exp(-2 * sv)
-    maxmag = mp.mpf(1)
-    n = 1
-    if complex_u:
-        z = mp.exp(2j * mp.pi * frac_to_mpf(u))
-        zi = 1 / z
-        tot = mp.mpc(1)
-        zp, zpi = z, zi
-        small = 0
-        while n < cfg.max_terms:
-            t = (zp + zpi) * e
-            if n % 2:
-                t = -t
-            tot += t
-            maxmag = max(maxmag, abs(t))
-            if abs(t) < thr * max(maxmag, abs(tot)):
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-            zp *= z
-            zpi *= zi
-            e, d = e * d, d * d2
-            n += 1
-        else:
-            raise TermCapExceeded("theta_num direct exceeded max_terms")
-        return part(tot), _lost_bits(maxmag, tot)
-    uv = frac_to_mpf(u)
-    tot = mp.mpf(1)
-    while True:
-        t = 2 * mp.cospi(2 * n * uv) * e
+    z = mp.exp(2j * mp.pi * frac_to_mpf(u))
+    zi = 1 / z
+    tot, maxmag, zp, zpi = mp.mpc(1), mp.mpf(1), z, zi
+    small, n = 0, 1
+    while n < cfg.max_terms:
+        t = (zp + zpi) * e
         if n % 2:
             t = -t
         tot += t
         maxmag = max(maxmag, abs(t))
-        if e < thr:
-            break
+        if abs(t) < thr * max(maxmag, abs(tot)):
+            small += 1
+            if small >= 3:
+                break
+        else:
+            small = 0
+        zp *= z
+        zpi *= zi
         e, d = e * d, d * d2
         n += 1
-        if n > cfg.max_terms:
-            raise TermCapExceeded("theta_num direct exceeded max_terms")
+    else:
+        raise TermCapExceeded("theta_num direct exceeded max_terms")
     return part(tot), _lost_bits(maxmag, tot)
 
 
@@ -723,7 +714,8 @@ def gk_num(k, s, cfg: EvalConfig, route: str = "auto"):
     cancellation plus 16, at most 3 passes before NonConvergent (_insum_evaluate).
     The direct route expects C = log2(e) (pi^2/(6(k+1)s) + 1/(k(k+1)s)) bits of
     cancellation: it runs with C + 96 guard bits and stops its m-sum at
-    2^-(p+C+32) of its largest term.
+    2^-(p+C+32) of its largest term. Where C + 96 passes 2^22 bits (s below about
+    2.5e-7 for k = 2) it raises NonConvergent before any conversion.
     """
     check_k(k)
     sf = as_float(s)
@@ -736,9 +728,11 @@ def gk_num(k, s, cfg: EvalConfig, route: str = "auto"):
     if route == "insum":
         return _insum_evaluate(cfg, _gk_insum_core, k, s)
     if route == "direct":
-        cancel = int(1.4427 * math.pi ** 2 / (6 * (k + 1) * sf) + 1.4427 / (k * (k + 1) * sf))
-        return evaluate(cfg, cancel + 96, _gk_direct_core, k, s,
-                        EvalConfig(cfg.precision_bits + cancel))
+        cancel = 1.4427 * math.pi ** 2 / (6 * (k + 1) * sf) + 1.4427 / (k * (k + 1) * sf)
+        if cancel + 96 > 1 << 22:
+            raise NonConvergent(f"the direct route needs over 4M guard bits at s={s}")
+        return evaluate(cfg, int(cancel) + 96, _gk_direct_core, k, s,
+                        EvalConfig(cfg.precision_bits + int(cancel)))
     raise ValueError(f"unknown route {route!r}")
 
 

@@ -132,13 +132,6 @@ def _divide_pentagonal(c: list, b: int) -> None:
         c[x] = acc
 
 
-def finite_pochhammer_series(a: int, b: int, n: int, order: int) -> FormalSeries:
-    """(q^a; q^b)_n = prod_{m=0}^{n-1} (1 - q^{a+mb})."""
-    if b < 1 or n < 0:
-        raise ValueError("need b >= 1 and n >= 0")
-    return _binomial_product([(-1, a + m * b) for m in range(n)], order)
-
-
 # ---------------------------------------------------------------------------
 # theta
 # ---------------------------------------------------------------------------

@@ -316,11 +316,6 @@ def re_phi_expansion(rho, z, L: int, cfg: EvalConfig):
     return evaluate(cfg, 32, core)
 
 
-def W0_expansion(k: int, L: int, w, cfg: EvalConfig):
-    """(k+1)/k + sum_{l=1}^{L-1} b_k(l) w^{-l(k+1)/k}; remainder O(w^{-L(k+1)/k})."""
-    return Wj_expansion(k, 0, L, w, cfg)
-
-
 def _expansion_terms(k: int, j: int, w):
     """[j = 0] (k+1)/k, then (-e)^j b_k(l) w^{-e}, e = l(k+1)/k, for l = 1, 2, ...:
     the terms of the large-w expansion of W_j, b_k(l) rounded to the ambient precision."""

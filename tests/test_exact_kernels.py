@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 from qasymp.errors import InvertAtZero
 from qasymp.exactcore import FormalSeries
 from qasymp.expansion import f2j_polynomial, hq_bivariate
-from qasymp.qseries import (Gk_series_oracle, _binomial_product, chi_series,
-                            finite_pochhammer_series, g2_product_side, gk_from_oracle,
-                            gk_series_andrews, pochhammer_series)
+from qasymp.qseries import (Gk_series_oracle, _binomial_product, chi_series, g2_product_side,
+                            gk_from_oracle, gk_series_andrews, pochhammer_series)
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +151,11 @@ class TestBinomialProduct:
                     factors = [(-1, a + m * b) for m in range(max(0, (order - s_neg - a) // b + 1))]
                     assert pochhammer_series(a, b, order) == \
                         dict_binomial_product(factors, order), (a, b, order)
-                    assert finite_pochhammer_series(a, b, 5, order) == \
-                        dict_binomial_product(factors[:5], order)
 
 
 class TestOrdersBelowEveryTerm:
     def test_zero_when_every_term_lies_above_the_order(self):
         assert pochhammer_series(1, 1, -1) == FormalSeries.zero(-1)
-        assert finite_pochhammer_series(2, 1, 3, -2) == FormalSeries.zero(-2)
 
     def test_negative_start_keeps_its_term(self):
         assert pochhammer_series(-1, 2, -1) == FormalSeries(-1, [-1], -1)

@@ -8,9 +8,9 @@ import pytest
 from conftest import close_bits
 from qasymp.errors import InvalidK, ReconstructionFailed
 from qasymp.exactcore import bernoulli_number, bernoulli_polynomial
-from qasymp.expansion import (beta_coeff, build_puiseux, expansion_eval,
-                              f2j_polynomial, hq_bivariate, hq_num, hq_table_eval,
-                              rational_ratio, zagier_c1, zagier_c2, zagier_t_coeffs)
+from qasymp.expansion import (beta_coeff, expansion_eval, f2j_polynomial, hq_bivariate,
+                              hq_num, hq_table_eval, rational_ratio, zagier_c1, zagier_c2,
+                              zagier_t_coeffs)
 from qasymp.hires import EvalConfig, gk_num, relative_error_num
 from qasymp.wright import W_j_num, b_k_coeff
 
@@ -187,17 +187,6 @@ class TestPuiseuxEval:
                 (n * sum(x * x for x in xs) - sum(xs) ** 2)
         predicted = math.log(0.1)
         assert abs(slope / predicted - 1) < 0.25
-
-    def test_puiseux_object(self, cfg192):
-        pz = build_puiseux(3, 1, cfg192)
-        assert pz.amp == F(1, 4)
-        assert pz.pi2_coeff == F(-1, 36)
-        assert pz.constant == F(4, 3)
-        assert pz.linear_coeff == F(1, 24)
-        assert len(pz.coefficients) == 3
-        data = json.loads(pz.to_json())
-        assert data["amp"] == "1/4"
-        assert len(data["beta"]) == 3
 
 
 class TestRationalRatio:

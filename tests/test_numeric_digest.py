@@ -20,8 +20,8 @@ from qasymp.expansion import (expansion_eval, hq_bivariate, hq_num, hq_table_eva
                               zagier_c1, zagier_c2)
 from qasymp.hires import (EvalConfig, gamma_q_num, gk_and_relative_error_num, gk_num,
                           pochhammer_num, qq_infinity_num, qsubz_num, theta_num)
-from qasymp.wright import (W0_expansion, W_j_num, Wj_expansion, WrightParams, b_k_coeff,
-                           re_phi_expansion, wright_phi, wright_phi_moment)
+from qasymp.wright import (W_j_num, Wj_expansion, WrightParams, b_k_coeff, re_phi_expansion,
+                           wright_phi, wright_phi_moment)
 
 PRECS = (64, 128, 192)
 
@@ -101,7 +101,7 @@ def re_phi_grid():
 def wj_expansion_grid():
     args = [(k, j, w) for k in (2, 3) for j in (0, 1, 2) for w in ("3", F(5, 2))]
     rows = _grid(args, lambda c, k, j, w: Wj_expansion(k, j, 5, w, c))
-    return rows + _grid([(2, "3"), (3, 4)], lambda c, k, w: W0_expansion(k, 6, w, c))
+    return rows + _grid([(2, "3"), (3, 4)], lambda c, k, w: Wj_expansion(k, 0, 6, w, c))
 
 
 def b_k_grid():

@@ -125,7 +125,7 @@ class TestAndrewsFormula:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_power_series_with_unit_constant(self, k):
         g = gk_series_andrews(k, 30)
-        g.assert_power_series()
+        assert g.low_exponent >= 0
         assert g.coefficient(0) == 1
 
     def test_zero_summands_are_exactly_the_k_plus_1_multiples(self):

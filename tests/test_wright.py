@@ -7,9 +7,8 @@ import pytest
 from conftest import close_bits
 from qasymp.errors import InvalidK, InvalidRho, NonConvergent
 from qasymp.hires import EvalConfig, frac_to_mpf
-from qasymp.wright import (W0_expansion, W_j_num, Wj_expansion, WrightParams,
-                           b_k_coeff, re_phi_expansion, reciprocal_gamma,
-                           wright_phi, wright_phi_moment)
+from qasymp.wright import (W_j_num, Wj_expansion, WrightParams, b_k_coeff, re_phi_expansion,
+                           reciprocal_gamma, wright_phi, wright_phi_moment)
 
 
 class TestPhiSeries:
@@ -99,7 +98,7 @@ class TestExpansions:
         # L=1 keeps just the constant
         with mp.workprec(128):
             assert re_phi_expansion(F(3, 4), 10, 1, cfg128) == mp.mpf(2) / 3
-            assert W0_expansion(3, 1, 123, cfg128) == mp.mpf(4) / 3
+            assert Wj_expansion(3, 0, 1, 123, cfg128) == mp.mpf(4) / 3
 
     def test_rho_half_collapses(self, cfg128):
         # all sine factors vanish: the expansion is exactly 1/(2 rho) = 1
@@ -135,7 +134,7 @@ class TestExpansions:
         # k=2, L=4, w=30: b_2(2) = b_2(4) = 0, so the first omitted nonzero term
         # is l=5 and the gap sits well inside the stated w^{-6} order
         wn = W_j_num(2, 0, 30, cfg192)
-        we = W0_expansion(2, 4, 30, cfg192)
+        we = Wj_expansion(2, 0, 4, 30, cfg192)
         with mp.workprec(256):
             assert abs(wn - we) < mp.power(30, -6)
 
@@ -146,7 +145,7 @@ class TestExpansions:
         # the two expansion conventions agree term by term
         for w in (5, 17):
             a = re_phi_expansion(F(k, k + 1), w, L, cfg192)
-            b = W0_expansion(k, L, w, cfg192)
+            b = Wj_expansion(k, 0, L, w, cfg192)
             with mp.workprec(256):
                 assert abs(2 * a - b) <= mp.mpf(2) ** (-184) * abs(b)
 
