@@ -4,8 +4,9 @@ expansion evaluation, and Zagier's k=3 rational series t1, t2.
 
 beta_k(j) is one transcendental factor T_k(j mod k) times an exact rational
 R_k(j) (beta_rational), so coefficient ratios within a residue class, t1 and t2
-among them, are exact. rational_ratio reconstructs the same ratios from the
-numeric values by continued fractions, as an independent cross-check.
+among them, are exact. rational_ratio rebuilds them from beta_coeff = T_k R_k by
+continued fractions; T_k cancels, so it checks that reconstruction and that
+cancellation, not R_k against an independent value.
 
 The a_{n,j} recurrence runs over integers, one denominator per row, and its
 inputs f_{2j} come in closed form from the Bernoulli shift identity, as integers

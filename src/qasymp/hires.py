@@ -24,6 +24,8 @@ w = prec + L + 8 + bitlen(prec) bits, 2^L > 1/(1 - r), a relative error below
 2^-(prec+8) (see _poch_inf_exps_core). The direct route stays in mpf
 (_pm_terms), with k+1 inner theta sums shifted to every m (_gk_direct_core);
 theta_num's direct sum is one loop of running products for real and complex u.
+The open-ended sums (both m-sums, theta_num's loops, wright's mpc series and W_j
+expansion) stop in one loop, _sum_until, each with its own run length and test.
 
 Every numeric export returns through evaluate, which runs its core at
 precision_bits + guard bits and rounds once to precision_bits, under one lock
@@ -360,56 +362,37 @@ def theta_num(u, s, cfg: EvalConfig, use_inversion=None):
 
 def _theta_sum(u, s, cfg, use_inversion):
     """theta_num's sum at the ambient precision: (value, mpc for complex u and real
-    otherwise; bits of cancellation, measured before the inversion's sqrt(pi/s))."""
+    otherwise; bits of cancellation, measured before the inversion's sqrt(pi/s)).
+    Small terms are as in theta_num's stop rule: 2 in a row end the inversion, 3 direct."""
     complex_u = isinstance(u, (complex, mp.mpc)) and mp.im(u) != 0
     sv, part = frac_to_mpf(s), mp.mpc if complex_u else mp.re
     thr = cfg.threshold
-    if use_inversion:
-        uv = frac_to_mpf(u)
-        c = mp.pi ** 2 / (4 * sv)
-        tot = mp.exp(-c * (1 + 2 * uv) ** 2) + mp.exp(-c * (1 - 2 * uv) ** 2)
-        maxmag = abs(tot)
-        small = 0
-        n = 3
-        while n < cfg.max_terms:
+
+    def inverted():
+        uv, c = frac_to_mpf(u), mp.pi ** 2 / (4 * sv)
+        for n in range(1, cfg.max_terms, 2):
             t = mp.exp(-c * (n + 2 * uv) ** 2) + mp.exp(-c * (n - 2 * uv) ** 2)
-            tot += t
-            maxmag = max(maxmag, abs(t))
-            if abs(t) < thr * max(maxmag, abs(tot)):
-                small += 1
-                if small >= 2:
-                    break
-            else:
-                small = 0
-            n += 2
-        else:
-            raise TermCapExceeded("theta_num inversion exceeded max_terms")
-        return part(mp.sqrt(mp.pi / sv) * tot), _lost_bits(maxmag, tot)
-    # e = e^{-s n^2} from running multipliers, e *= d, d *= e^{-2s}; z^n, z^-n too
-    e, d, d2 = mp.exp(-sv), mp.exp(-3 * sv), mp.exp(-2 * sv)
-    z = mp.exp(2j * mp.pi * frac_to_mpf(u))
-    zi = 1 / z
-    tot, maxmag, zp, zpi = mp.mpc(1), mp.mpf(1), z, zi
-    small, n = 0, 1
-    while n < cfg.max_terms:
-        t = (zp + zpi) * e
-        if n % 2:
-            t = -t
-        tot += t
-        maxmag = max(maxmag, abs(t))
-        if abs(t) < thr * max(maxmag, abs(tot)):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-        zp *= z
-        zpi *= zi
-        e, d = e * d, d * d2
-        n += 1
-    else:
-        raise TermCapExceeded("theta_num direct exceeded max_terms")
-    return part(tot), _lost_bits(maxmag, tot)
+            yield n, t, abs(t)
+
+    def direct():
+        yield 0, mp.mpc(1), mp.mpf(1)
+        # e = e^{-s n^2} from running multipliers, e *= d, d *= e^{-2s}; z^n, z^-n too
+        e, d, d2 = mp.exp(-sv), mp.exp(-3 * sv), mp.exp(-2 * sv)
+        z = mp.exp(2j * mp.pi * frac_to_mpf(u))
+        zi = 1 / z
+        zp, zpi = z, zi
+        for n in range(1, cfg.max_terms):
+            t = (zp + zpi) * e
+            yield n, -t if n % 2 else t, abs(t)
+            zp *= z
+            zpi *= zi
+            e, d = e * d, d * d2
+
+    (tot,), maxmag = _sum_until(
+        inverted() if use_inversion else direct(), 2 if use_inversion else 3,
+        lambda _n, size, largest, bins: size < thr * max(largest, abs(bins[0])),
+        f"theta_num {'inversion' if use_inversion else 'direct'} exceeded max_terms")
+    return part(mp.sqrt(mp.pi / sv) * tot if use_inversion else tot), _lost_bits(maxmag, tot)
 
 
 def _lost_bits(maxmag, tot):
@@ -452,23 +435,25 @@ def _pm_terms(k, s, seeds, max_terms):
         qneg *= qk_inv
 
 
-def _m_sum(terms, k, cfg, cap_message, period=1):
-    """Sum (m, term) pairs, mpf or integer, into period bins by m mod period until
-    more than 2(k+1)+2 terms in a row fall below cfg.threshold = 2^-(prec+32)
-    times the largest magnitude so far; returns (bins, largest magnitude)."""
-    scale = 1 << (cfg.precision_bits + 32)
-    bins, maxmag, small = [0] * period, 0, 0
-    for m, term in terms:
-        bins[m % period] += term
-        at = abs(term)
-        maxmag = max(maxmag, at)
-        if at * scale < maxmag:
-            small += 1
-            if small > 2 * (k + 1) + 2:
-                return bins, maxmag
-        else:
-            small = 0
+def _sum_until(terms, run, small, cap_message, period=1):
+    """Sum the (i, term, size) triples of terms into period bins by i mod period
+    until run triples in a row satisfy small(i, size, largest, bins), largest the
+    greatest size so far; returns (bins, largest). A skipped term comes as an exact
+    zero with a size. Past the last triple, TermCapExceeded(cap_message)."""
+    bins, largest, row = [0] * period, 0, 0
+    for i, term, size in terms:
+        bins[i % period] += term
+        largest = size if size > largest else largest
+        row = row + 1 if small(i, size, largest, bins) else 0
+        if row == run:
+            return bins, largest
     raise TermCapExceeded(cap_message)
+
+
+def _m_rule(k, cfg):
+    """(run, small) of both m-sums: 2(k+1)+3 terms in a row below 2^-(prec+32) of the largest."""
+    scale = 1 << (cfg.precision_bits + 32)
+    return 2 * (k + 1) + 3, lambda _m, size, largest, _bins: size * scale < largest
 
 
 def _In_head_bits(k, sf, starts):
@@ -535,8 +520,8 @@ def _In_bins(k, n, s, cfg):
     With K sized from the term count of a decay like q^{km} from 2^v down to
     2^-prec, w = prec + b + v + 2 + 3 bitlen(K) makes that under 2^-prec, where
     prec is the working precision, and T_0 = 1 <= the largest term. The stop rule
-    of _m_sum runs on the integers; the bins convert to mpf once. n only names
-    the I_n in the max_terms error.
+    (_sum_until with _m_rule) runs on the integers; the bins convert to mpf once.
+    n only names the I_n in the max_terms error.
     """
     seeds = _pm_seeds(k, s)
     starts = [mp.exp(-s * frac_to_mpf(Fraction(k * r * (k * r + k + 1), 2 * (k + 1))))
@@ -545,8 +530,9 @@ def _In_bins(k, n, s, cfg):
     head, lk = _In_head_bits(k, sf, starts)
     m_est = (mp.mp.prec + head) * LN2 / (k * sf) + 3 * (k + 1)
     w = mp.mp.prec + head + 3 * int(m_est + 1 + lk).bit_length()
-    bins, maxmag = _m_sum(_In_terms(k, s, starts, w, cfg.max_terms), k, cfg,
-                          f"I_n loop exceeded max_terms at k={k}, n={n}, s={s}", 2 * (k + 1))
+    terms = ((m, t, abs(t)) for m, t in _In_terms(k, s, starts, w, cfg.max_terms))
+    bins, maxmag = _sum_until(terms, *_m_rule(k, cfg),
+                              f"I_n loop exceeded max_terms at k={k}, n={n}, s={s}", 2 * (k + 1))
     return [mp.mpf((b, -w)) for b in bins], mp.mpf((maxmag, -w))
 
 
@@ -627,7 +613,9 @@ def _gk_insum_core(k, s, cfg):
     ln2/c) + 8 at most (at least 200), c = pi^2/(2k(k+1)s), where its weights have
     fallen below 2^-(prec+64); a cap past max_terms raises TermCapExceeded before
     any term. Returns (value, bits of cancellation of the odd-n sum against
-    max(1, largest m-term)) for _insum_evaluate, which sizes cfg from it."""
+    max(1, largest m-term)) for _insum_evaluate, which sizes cfg from it. The odd-n
+    loop tests each weight before it adds the term, so _sum_until, which adds first,
+    would sum one more term and could change bits."""
     s = frac_to_mpf(s)
     c = mp.pi ** 2 / (2 * k * (k + 1) * s)
     cap = max(200, math.isqrt(int((mp.mp.prec + 64) * LN2 / c)) + 8)
@@ -694,10 +682,10 @@ def _gk_direct_core(k, s, cfg):
             j, r = divmod(m, k + 1)
             e = k * m * (m + 1) // 2 - t_base * j * j - k * r * j
             term = mp.exp(-s * e) * pm * thetas[r] / poch_m
-            yield m, -term if (m + j) % 2 else term
+            yield m, -term if (m + j) % 2 else term, abs(term)
 
-    (acc,), _ = _m_sum(terms(), k, cfg,
-                       f"direct g_k m-sum exceeded max_terms at k={k}, s={s}")
+    (acc,), _ = _sum_until(terms(), *_m_rule(k, cfg),
+                           f"direct g_k m-sum exceeded max_terms at k={k}, s={s}")
     return acc / _qq_inf_core(k * s)
 
 

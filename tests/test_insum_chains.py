@@ -28,7 +28,7 @@ def test_chains_match_per_n_loop(k, hundredths, p, half):
 
 def _recorded_chains(monkeypatch, k, s, p):
     """Run I_n_num(k, 1, s) with _In_terms recorded: (its arguments, the working
-    precision it ran at, the (m, T_m) pairs _m_sum consumed)."""
+    precision it ran at, the (m, T_m) pairs _In_bins summed through _sum_until)."""
     rec = {}
     real = hires._In_terms
 
