@@ -18,7 +18,7 @@ values of m every bin is within 2^{b+v+2} K^3 units of 2^-w, K = M + 1 + 1/(ks),
 (see _In_bins). Both run with 48 guard bits and measure their cancellation,
 log2(max(1, largest term)/|sum|); where it exceeds 16 bits, they run again with
 their guard and their stop rules raised by the cancellation plus 16, at most 3
-passes in all (_insum_evaluate). The seed products' factors below 2^-8 are one
+passes in all (_measured_evaluate). The seed products' factors below 2^-8 are one
 log series, sum_m x^m/(m(1 - r^m)), run in fixed point (_log_tail_fixed) at
 w = prec + L + 8 + bitlen(prec) bits, 2^L > 1/(1 - r), a relative error below
 2^-(prec+8) (see _poch_inf_exps_core). The direct route stays in mpf
@@ -29,10 +29,12 @@ expansion) stop in one loop, _sum_until, each with its own run length and test.
 
 Every numeric export returns through evaluate, which runs its core at
 precision_bits + guard bits and rounds once to precision_bits, under one lock
-(LOCK), since mpmath's working precision is process-wide. The shared state is
-two caches: the newest 256 (q;q)_infinity values in an lru_cache keyed by
-(s, route, working precision), and the longest exact g_k series per k
-(_GK_SERIES_CACHE, through keep_longest, which expansion's table cache uses too).
+(LOCK), since mpmath's working precision is process-wide; past 2^22 guard bits
+it raises NonConvergent first. theta_num's sums rerun by their cancellation as
+the small-s route does. The shared state is two caches: the newest 256
+(q;q)_infinity values in an lru_cache keyed by (s, route, working precision),
+and the longest exact g_k series per k (_GK_SERIES_CACHE, through keep_longest,
+which expansion's table cache uses too).
 """
 from __future__ import annotations
 
@@ -118,12 +120,31 @@ LOCK = threading.RLock()
 
 def evaluate(cfg: EvalConfig, guard: int, core, *args):
     """core(*args) run at cfg.precision_bits + guard bits and rounded once to
-    cfg.precision_bits; a tuple result is rounded element by element."""
+    cfg.precision_bits; a tuple result is rounded element by element. A guard past
+    2^22 bits, where mpmath fails or never ends, raises NonConvergent first."""
+    if guard > 1 << 22:
+        raise NonConvergent(f"{guard} guard bits, past the 2^22-bit ceiling")
     with LOCK:
         with mp.workprec(cfg.precision_bits + guard):
             val = core(*args)
         with mp.workprec(cfg.precision_bits):
             return tuple(+v for v in val) if isinstance(val, tuple) else +val
+
+
+def _measured_evaluate(cfg: EvalConfig, core, *args):
+    """evaluate for a core(*args, sub) that returns (value, bits of cancellation)
+    and runs its stop rules at sub.threshold: first with 48 guard bits and
+    sub = cfg; while the measured cancellation exceeds 16 + extra, again with
+    extra = cancellation + 16 more guard bits and sub = EvalConfig(p + extra). After
+    3 passes it raises NonConvergent. Shared by theta_num, I_n_num and gk_num."""
+    extra = 0
+    for _ in range(3):
+        val, lost = evaluate(cfg, 48 + extra, core, *args,
+                             EvalConfig(cfg.precision_bits + extra))
+        if lost <= extra + 16:
+            return val
+        extra = lost + 16
+    raise NonConvergent(f"cancellation of {lost} bits persists after 3 passes")
 
 
 def keep_longest(cache: dict, key, length: int, size, build):
@@ -339,10 +360,10 @@ def theta_num(u, s, cfg: EvalConfig, use_inversion=None):
     loop for real and complex u, with e^{-s n^2} and z^n + z^-n, z = e^{2 pi i u},
     as running products. Its stop rule, a term below 2^-(p+32) max(largest term,
     |sum|), needs at least the n with s n^2 >= (p+32) ln2 - ln(2n+1); where that n
-    passes max_terms it raises TermCapExceeded before any term. The sum runs with
-    48 guard bits; where its measured cancellation, log2(largest term/|sum|),
-    comes within 16 bits of them (near a zero of theta), it runs once more with
-    its guard and its stop rule raised by the cancellation.
+    passes max_terms it raises TermCapExceeded before any term. Both sums are sized
+    by their measured cancellation, log2(largest term/|sum|), as gk_num's insum
+    route is: past 16 bits (near a zero of theta) they rerun with guard and stop
+    rule raised by it plus 16, at most 3 passes in all (_measured_evaluate).
     """
     sf = as_float(s)
     if not sf > 0:
@@ -352,15 +373,10 @@ def theta_num(u, s, cfg: EvalConfig, use_inversion=None):
     n = cfg.max_terms
     if not use_inversion and sf * n * n < (cfg.precision_bits + 32) * LN2 - math.log(2 * n + 1):
         raise TermCapExceeded(f"theta_num's direct sum needs over max_terms terms at s={s}")
-    guard = 48
-    val, lost = evaluate(cfg, guard, _theta_sum, u, s, cfg, use_inversion)
-    if lost > guard - 16:
-        val, _ = evaluate(cfg, lost + guard, _theta_sum, u, s,
-                          EvalConfig(cfg.precision_bits + lost), use_inversion)
-    return val
+    return _measured_evaluate(cfg, _theta_sum, u, s, use_inversion)
 
 
-def _theta_sum(u, s, cfg, use_inversion):
+def _theta_sum(u, s, use_inversion, cfg):
     """theta_num's sum at the ambient precision: (value, mpc for complex u and real
     otherwise; bits of cancellation, measured before the inversion's sqrt(pi/s)).
     Small terms are as in theta_num's stop rule: 2 in a row end the inversion, 3 direct."""
@@ -550,28 +566,12 @@ def _In_from_bins(k, n, bins, roots):
     return acc
 
 
-def _insum_evaluate(cfg: EvalConfig, core, *args):
-    """evaluate for a core(*args, sub) that returns (value, bits of cancellation)
-    and runs its stop rules at sub.threshold: first with 48 guard bits and
-    sub = cfg; while the measured cancellation exceeds 16 + extra, again with
-    extra = cancellation + 16 more guard bits and sub = EvalConfig(p + extra). After
-    3 passes it raises NonConvergent."""
-    extra = 0
-    for _ in range(3):
-        val, lost = evaluate(cfg, 48 + extra, core, *args,
-                             EvalConfig(cfg.precision_bits + extra))
-        if lost <= extra + 16:
-            return val
-        extra = lost + 16
-    raise NonConvergent(f"cancellation of {lost} bits persists after 3 passes")
-
-
 def I_n_num(k, n, s, cfg: EvalConfig):
     """I_n(s) = sum_m (-1)^m e^{i pi m n/(k+1)} q^{km(m+1)/2 - km^2/(2(k+1))}
     / ((q^k;q^k)_m (q^{k+1};q^{k+1})_{-km/(k+1)}), for odd n.
 
     Sized by its measured cancellation, log2(max(1, largest term)/|I_n|), as
-    gk_num's insum route is (_insum_evaluate)."""
+    gk_num's insum route is (_measured_evaluate)."""
     check_k(k)
     if n % 2 == 0:
         raise ValueError("I_n is defined for odd n")
@@ -582,7 +582,7 @@ def I_n_num(k, n, s, cfg: EvalConfig):
         bins, mm = _In_bins(k, n, frac_to_mpf(s), sub)
         val = _In_from_bins(k, n, bins, _phase_roots(k))
         return val, _lost_bits(max(mp.mpf(1), mm), val)
-    return _insum_evaluate(cfg, core)
+    return _measured_evaluate(cfg, core)
 
 
 _GK_SERIES_CACHE: dict = {}  # k -> the longest exact g_k series computed
@@ -613,7 +613,7 @@ def _gk_insum_core(k, s, cfg):
     ln2/c) + 8 at most (at least 200), c = pi^2/(2k(k+1)s), where its weights have
     fallen below 2^-(prec+64); a cap past max_terms raises TermCapExceeded before
     any term. Returns (value, bits of cancellation of the odd-n sum against
-    max(1, largest m-term)) for _insum_evaluate, which sizes cfg from it. The odd-n
+    max(1, largest m-term)) for _measured_evaluate, which sizes cfg from it. The odd-n
     loop tests each weight before it adds the term, so _sum_until, which adds first,
     would sum one more term and could change bits."""
     s = frac_to_mpf(s)
@@ -699,11 +699,11 @@ def gk_num(k, s, cfg: EvalConfig, route: str = "auto"):
 
     The insum route runs with 48 guard bits and measures its cancellation; above
     16 bits it runs again with its guard and stop rules raised by the
-    cancellation plus 16, at most 3 passes before NonConvergent (_insum_evaluate).
+    cancellation plus 16, at most 3 passes before NonConvergent (_measured_evaluate).
     The direct route expects C = log2(e) (pi^2/(6(k+1)s) + 1/(k(k+1)s)) bits of
     cancellation: it runs with C + 96 guard bits and stops its m-sum at
     2^-(p+C+32) of its largest term. Where C + 96 passes 2^22 bits (s below about
-    2.5e-7 for k = 2) it raises NonConvergent before any conversion.
+    2.5e-7 for k = 2) evaluate's ceiling raises NonConvergent before any conversion.
     """
     check_k(k)
     sf = as_float(s)
@@ -714,13 +714,12 @@ def gk_num(k, s, cfg: EvalConfig, route: str = "auto"):
     if route == "series":
         return evaluate(cfg, 64, _gk_series_core, k, s, cfg)
     if route == "insum":
-        return _insum_evaluate(cfg, _gk_insum_core, k, s)
+        return _measured_evaluate(cfg, _gk_insum_core, k, s)
     if route == "direct":
-        cancel = 1.4427 * math.pi ** 2 / (6 * (k + 1) * sf) + 1.4427 / (k * (k + 1) * sf)
-        if cancel + 96 > 1 << 22:
-            raise NonConvergent(f"the direct route needs over 4M guard bits at s={s}")
-        return evaluate(cfg, int(cancel) + 96, _gk_direct_core, k, s,
-                        EvalConfig(cfg.precision_bits + int(cancel)))
+        cancel = int(min(1.4427 * math.pi ** 2 / (6 * (k + 1) * sf)
+                         + 1.4427 / (k * (k + 1) * sf), 2.0 ** 62))
+        return evaluate(cfg, cancel + 96, _gk_direct_core, k, s,
+                        EvalConfig(cfg.precision_bits + cancel))
     raise ValueError(f"unknown route {route!r}")
 
 

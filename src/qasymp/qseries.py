@@ -9,16 +9,16 @@ even though several building blocks are genuine Laurent series.
 Every infinite product is a list of families (q^a; q^b)_inf, cut at the order
 in one place (_poch_product), except (q^b; q^b)_inf, which is Euler's sparse
 pentagonal series; a theta's terms come from its exact n-window (_theta_terms),
-and so do the pentagonal terms. Products of binomials turn each factor with a
-negative exponent around, (1 + eps q^e) = eps q^e (1 + eps q^{-e}), and multiply
-the rest into a dense integer list, one slice update each, as is a division by
-1 - q^e. Andrews' m-sum adds each theta term times 1/(q^k;q^k)_m as one slice,
-folds each residue class of m mod k+1 in Horner form and divides by
-(q^k;q^k)_inf by Euler's pentagonal recurrence. chi is summed in nested form,
-and g_2's product side multiplies chi's list in place by the factors of
-(q;q^6)_inf (q^5;q^6)_inf. The DP oracle packs each row into one Python integer,
-one field per exponent, highest exponent first (q^s is a right shift), drops
-rows past the order and divides by (1 - q^s) by shifting and doubling.
+and so do the pentagonal terms. Every product of binomials and every quotient
+runs on a dense integer list, one slice update per factor 1 +- q^e or division
+by 1 - q^e; a factor with a negative exponent is turned around first,
+1 - q^e = -q^e (1 - q^{-e}). Andrews' m-sum adds each theta term times
+1/(q^k;q^k)_m as one slice, folds each residue class of m mod k+1 in Horner form
+and divides by (q^k;q^k)_inf by Euler's pentagonal recurrence. chi is summed in
+nested form; both forms of g_2's product side and Euler's identities run on
+such lists. The DP oracle packs each row into one Python integer, one field per
+exponent, highest exponent first (q^s is a right shift), drops rows past the
+order and divides by (1 - q^s) by shifting and doubling.
 """
 from __future__ import annotations
 
@@ -32,39 +32,6 @@ from .exactcore import FormalSeries
 # ---------------------------------------------------------------------------
 # products of binomials (1 + eps * q^e)
 # ---------------------------------------------------------------------------
-
-def _binomial_product(factors, order: int) -> FormalSeries:
-    """Exact truncated product of (1 + eps*q^e) factors (eps = +-1, e may be
-    negative).
-
-    A factor with e < 0 is rewritten as (1 + eps*q^e) = eps*q^e*(1 + eps*q^{-e}),
-    so the product is a constant times q^shift (shift = sum of the negative
-    exponents) times binomials with positive exponents only. Those multiply a
-    dense coefficient list up to q^{order-shift}, one slice update per factor.
-    A factor (1 - q^0), or an order below q^shift, gives the zero series.
-    """
-    const = 1
-    shift = 0
-    exps = []
-    for eps, e in factors:
-        if e == 0:
-            const *= 1 + eps
-            if const == 0:
-                return FormalSeries.zero(order)
-            continue
-        if e < 0:
-            const *= eps
-            shift += e
-            e = -e
-        exps.append((eps, e))
-    n = order - shift + 1
-    if n < 1:
-        return FormalSeries.zero(order)
-    c = [const] + [0] * (n - 1)
-    for eps, e in exps:
-        _times_binomial(c, eps, e)
-    return FormalSeries(shift, c, order)
-
 
 def _times_binomial(c: list, eps: int, e: int) -> None:
     """c * (1 + eps*q^e) in place, e >= 1, c the dense coefficients of q^0, q^1, ..."""
@@ -91,14 +58,23 @@ def _add_tails(a: tuple, b: tuple) -> tuple:
 
 def _poch_product(families, order: int) -> FormalSeries:
     """prod over (a, b) in families of (q^a; q^b)_infinity, exact to the given order:
-    family (a, b) has max(0, -(a // b)) negative exponents, and with shift their sum
-    over all families, a factor 1 - q^e with e > order - shift is left out."""
-    shift = 0
+    family (a, b) has max(0, -(a // b)) negative exponents, each turned around,
+    1 - q^e = -q^e (1 - q^{-e}); with shift their sum over all families, the factors
+    multiply one dense list up to q^{order-shift}, and one with e > order - shift is
+    left out. A factor 1 - q^0, or an order below shift, gives the zero series."""
+    shift = negatives = 0
     for a, b in families:
         neg = max(0, -(a // b))
+        negatives += neg
         shift += neg * a + b * neg * (neg - 1) // 2
-    return _binomial_product([(-1, a + m * b) for a, b in families
-                              for m in range((order - shift - a) // b + 1)], order)
+    n = order - shift + 1
+    if n < 1 or any(a <= 0 and a % b == 0 for a, b in families):
+        return FormalSeries.zero(order)
+    c = [(-1) ** negatives] + [0] * (n - 1)
+    for a, b in families:
+        for m in range((order - shift - a) // b + 1):
+            _times_binomial(c, -1, abs(a + m * b))
+    return FormalSeries(shift, c, order)
 
 
 def pochhammer_series(a: int, b: int, order: int) -> FormalSeries:
@@ -371,60 +347,46 @@ def g2_product_side_as_printed(order: int) -> FormalSeries:
     like exp(+5 pi^2/(18 s)) as q -> 1, so it cannot equal g_2); the display has
     (1-q^n) on the wrong side of the fraction bar. See g2_product_side.
     """
-    plus = _binomial_product([(1, 3 * n) for n in range(1, order // 3 + 1)], order)
-    den = _poch_product([(1, 1), (2, 2)], order)
-    return chi_series(order) * plus * den.invert()
+    c = list(chi_series(order).coeffs)
+    c += [0] * (order + 1 - len(c))
+    for n in range(1, order + 1):
+        _times_binomial(c, 1, 3 * n)
+        _divide_binomial(c, n)
+        _divide_binomial(c, 2 * n)
+    return FormalSeries(0, c, order)
 
 
 # ---------------------------------------------------------------------------
 # Euler's identities as two-variable truncated series
 # ---------------------------------------------------------------------------
 
-def _z_poly_mul(a: list[FormalSeries], b: list[FormalSeries], zmax: int, order: int):
-    out = [FormalSeries.zero(order) for _ in range(zmax + 1)]
-    for i, ai in enumerate(a):
-        if i > zmax:
-            break
-        for j, bj in enumerate(b):
-            if i + j > zmax:
-                break
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
 def euler_identity_check(order: int) -> bool:
     """Check both Euler identities for (z;q)_infinity as bivariate truncated series,
-    with z-degree and q-order both capped at the given order."""
+    with z-degree and q-order both capped at the given order; each z^n
+    coefficient is a dense list of the coefficients of q^0..q^order."""
     if order < 0:
         raise ValueError("order must be >= 0")
     d = order
-    # A = (z;q)_infinity = prod_{m=0..d} (1 - z q^m): z-degrees beyond d are dropped
-    a = [FormalSeries.one(d)] + [FormalSeries.zero(d) for _ in range(d)]
+    # a[n] = z^n coefficient of (z;q)_inf = prod_{m=0..d} (1 - z q^m), to z^d
+    a = [[1] + [0] * d] + [[0] * (d + 1) for _ in range(d)]
     for m in range(d + 1):
-        mono = FormalSeries.monomial(1, m, d)
-        for deg in range(d, 0, -1):
-            a[deg] = a[deg] - mono * a[deg - 1]
-    # inverse finite Pochhammer 1/(q;q)_n, built incrementally
-    inv_list = []
-    invf = [1] + [0] * d
-    inv_list.append(FormalSeries(0, invf, d))
-    for n_ in range(1, d + 1):
-        invf = list(invf)
-        _divide_binomial(invf, n_)
-        inv_list.append(FormalSeries(0, invf, d))
-    # identity 1: (z;q)_inf * sum_n z^n/(q;q)_n == 1
-    b = [inv_list[n_] for n_ in range(d + 1)]
-    prod = _z_poly_mul(a, b, d, d)
-    ok1 = prod[0].eq_to_order(FormalSeries.one(d), d) and all(
-        prod[deg].is_zero() for deg in range(1, d + 1)
-    )
-    # identity 2: (z;q)_inf == sum_n (-1)^n z^n q^{n(n-1)/2}/(q;q)_n
-    ok2 = True
-    for n_ in range(d + 1):
-        e = n_ * (n_ - 1) // 2
-        rhs = inv_list[n_].shift(e).truncate(d) if e <= d else FormalSeries.zero(d)
-        rhs = rhs if n_ % 2 == 0 else -rhs
-        if not a[n_].eq_to_order(rhs, d):
-            ok2 = False
-            break
-    return ok1 and ok2
+        for n in range(d, 0, -1):
+            a[n][m:] = map(sub, a[n][m:], a[n - 1][: d + 1 - m])
+    # inv[n] = 1/(q;q)_n, built incrementally
+    inv = [[1] + [0] * d]
+    for n in range(1, d + 1):
+        inv.append(list(inv[-1]))
+        _divide_binomial(inv[-1], n)
+    # per z^n: identity 1, (z;q)_inf * sum_n z^n/(q;q)_n == 1, by a dense
+    # convolution, and identity 2, (z;q)_inf == sum_n (-1)^n z^n q^{n(n-1)/2}/(q;q)_n
+    for n in range(d + 1):
+        acc = [0] * (d + 1)
+        for i in range(n + 1):
+            for x, ax in enumerate(a[i]):
+                if ax:
+                    acc[x:] = map(add, acc[x:], [ax * v for v in inv[n - i][: d + 1 - x]])
+        e = min(d + 1, n * (n - 1) // 2)
+        if acc != [int(n == 0)] + [0] * d or \
+                a[n] != [0] * e + [(-1) ** n * v for v in inv[n][: d + 1 - e]]:
+            return False
+    return True

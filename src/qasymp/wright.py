@@ -247,13 +247,11 @@ def wright_phi(params: WrightParams, z, cfg: EvalConfig):
 
 
 def wright_phi_moment(j: int, params: WrightParams, z, cfg: EvalConfig):
-    """phi_j(rho, beta; z) = sum_m m^j z^m/(m! Gamma(beta - rho m)); phi_0 = phi."""
+    """phi_j(rho, beta; z) = sum_m m^j z^m/(m! Gamma(beta - rho m)); phi_0 = phi.
+    Past 2^22 guard bits, NonConvergent (evaluate); W_j_num gives the ray's real part."""
     if j < 0:
         raise ValueError("moment order must be >= 0")
     guard = _phi_cancel_bits(params.rho, abs(frac_to_mpf(z))) + 64
-    if guard > 1 << 22:
-        raise NonConvergent("direct summation would need over 4M guard bits; use W_j_num "
-                            "(asymptotic or quadrature route) for the real part")
     return evaluate(cfg, guard, _phi_series_core, params, z, j, cfg)
 
 

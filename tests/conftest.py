@@ -1,6 +1,9 @@
+import hashlib
+
 import mpmath as mp
 import pytest
 
+from qasymp.errors import QAsympError
 from qasymp.hires import EvalConfig
 
 
@@ -31,3 +34,31 @@ def rel_diff(a, b, prec=300):
     with mp.workprec(prec):
         aa, bb = mp.mpmathify(a), mp.mpmathify(b)
         return abs(aa - bb) / max(abs(aa), abs(bb), mp.mpf(2) ** (-prec))
+
+
+def canon(v):
+    """Plain-int tuples of an mpf, an mpc or a tuple of them: the exact
+    (sign, man, exp, bc) of each mpf, real and imaginary parts apart."""
+    if isinstance(v, tuple):
+        return tuple(canon(x) for x in v)
+    if isinstance(v, mp.mpc):
+        return tuple(tuple(int(x) for x in part) for part in v._mpc_)
+    return tuple(int(x) for x in v._mpf_)
+
+
+def digest(rows):
+    """sha256 over repr((key, canon(fn()))) of the (key, fn) rows in order; a row
+    that raises a QAsympError or ValueError hashes ("raises", its class name)."""
+    h = hashlib.sha256()
+    for key, fn in rows:
+        try:
+            got = canon(fn())
+        except (QAsympError, ValueError) as exc:
+            got = ("raises", type(exc).__name__)
+        h.update(repr((key, got)).encode())
+    return h.hexdigest()
+
+
+def digest_parts(series):
+    """A FormalSeries as (its JSON terms, low exponent, truncation order)."""
+    return series.to_json(), series.low_exponent, series.truncation_order

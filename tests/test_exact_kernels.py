@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from qasymp.errors import InvertAtZero
 from qasymp.exactcore import FormalSeries
 from qasymp.expansion import f2j_polynomial, hq_bivariate
-from qasymp.qseries import (Gk_series_oracle, _binomial_product, chi_series, g2_product_side,
-                            gk_from_oracle, gk_series_andrews, pochhammer_series)
+from qasymp.qseries import (Gk_series_oracle, _poch_product, _times_binomial, chi_series,
+                            g2_product_side, gk_from_oracle, gk_series_andrews,
+                            pochhammer_series)
 
 
 # ---------------------------------------------------------------------------
@@ -121,26 +122,27 @@ def random_series(rng, laurent=True, fraction_lead=False):
 class TestBinomialProduct:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_dict_product(self, seed):
+        # the in-place kernel with both signs, (1 + q^e) and (1 - q^e), e >= 1
         rng = random.Random(seed)
         for _ in range(25):
-            factors = [(rng.choice([1, -1]), rng.randint(-12, 30))
+            factors = [(rng.choice([1, -1]), rng.randint(1, 30))
                        for _ in range(rng.randint(0, 14))]
-            if rng.random() < 0.15:
-                factors.append((1, 0))  # (1 + q^0) = 2
-            if rng.random() < 0.1:
-                factors.append((-1, 0))  # (1 - q^0) = 0
             order = rng.randint(0, 40)
-            assert _binomial_product(factors, order) == dict_binomial_product(factors, order)
+            c = [1] + [0] * order
+            for eps, e in factors:
+                _times_binomial(c, eps, e)
+            assert FormalSeries(0, c, order) == dict_binomial_product(factors, order)
 
     def test_negative_exponents_below_the_order(self):
-        # all factors negative: the product lives entirely below q^0
-        factors = [(-1, -3), (1, -5), (-1, -1)]
+        # (q^-5; q^2)_inf turns three factors around: the product starts at q^-9
+        factors = [(-1, -5 + 2 * m) for m in range(12)]
         for order in (-9, -4, 0, 3):
-            assert _binomial_product(factors, order) == dict_binomial_product(factors, order)
+            assert _poch_product([(-5, 2)], order) == dict_binomial_product(factors, order)
 
     def test_whole_product_above_the_order(self):
-        assert _binomial_product([(-1, -2), (1, 7)], -3).is_zero()
-        assert _binomial_product([(-1, -2), (1, 7)], -3).truncation_order == -3
+        # (q^-2; q^9)_inf starts at q^-2: the zero series, keeping its order
+        assert _poch_product([(-2, 9)], -3).is_zero()
+        assert _poch_product([(-2, 9)], -3).truncation_order == -3
 
     def test_pochhammers_with_negative_starts(self):
         for a in range(-9, 4):

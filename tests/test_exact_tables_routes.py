@@ -5,15 +5,12 @@ import random
 
 import pytest
 
+from conftest import digest_parts
 from qasymp.qseries import (_divide_binomial, _divide_pentagonal, gk_from_oracle,
                             gk_series_andrews)
 
 # the benchmark draws each Andrews order within +-4 of these
 ANDREWS_ORDER = {2: 240, 3: 280, 4: 300, 5: 340, 6: 360}
-
-
-def digest_parts(series):
-    return series.to_json(), series.low_exponent, series.truncation_order
 
 
 @pytest.mark.parametrize("k", sorted(ANDREWS_ORDER))

@@ -1,6 +1,7 @@
 """The insum route sized by its measured cancellation: g_2 at small s against the
-mock-theta product, the retry's pass count, the phase table, the log-series tail
-of the seed products, and the precision contract at small s."""
+mock-theta product, the retry's pass count (and theta_num's, through the same
+loop), the phase table, the log-series tail of the seed products, and the
+precision contract at small s."""
 from __future__ import annotations
 
 import math
@@ -109,6 +110,25 @@ class TestRetry:
         with pytest.raises(NonConvergent):
             gk_num(2, "0.1", EvalConfig(64))
         assert seen == [64, 64 + 116, 64 + 216]
+
+
+class TestThetaRetry:
+    # theta_num's direct sum measures 21 bits at s = 0.15 and 33 at s = 0.1, 64
+    # bits: past 16, so it reruns once with the stop rule at 64 + bits + 16
+    @pytest.mark.parametrize("s, want", [("0.15", [64, 101]), ("0.1", [64, 113])])
+    def test_shares_the_measured_retry(self, monkeypatch, s, want):
+        seen, core = [], hires._theta_sum
+
+        def counting(u, s, use_inversion, cfg):
+            seen.append(cfg.precision_bits)
+            return core(u, s, use_inversion, cfg)
+
+        monkeypatch.setattr(hires, "_theta_sum", counting)
+        cfg = EvalConfig(64)
+        got = hires.theta_num(0, s, cfg, use_inversion=False)
+        assert seen == want
+        assert close_bits(got, hires.theta_num(0, s, cfg, use_inversion=True), 56,
+                          scale=abs(got))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])

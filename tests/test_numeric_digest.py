@@ -8,12 +8,12 @@ Fraction, complex and mpc. The same grids show that every export rounds once to
 its precision, whatever the caller's mpmath precision."""
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
 
+from conftest import canon, digest
 from qasymp import expansion, hires
 from qasymp.errors import QAsympError
 from qasymp.expansion import (expansion_eval, hq_bivariate, hq_num, hq_table_eval,
@@ -24,26 +24,6 @@ from qasymp.wright import (W_j_num, Wj_expansion, WrightParams, b_k_coeff, re_ph
                            wright_phi, wright_phi_moment)
 
 PRECS = (64, 128, 192)
-
-
-def _canon(v):
-    """Plain-int tuples of an mpf, an mpc or a tuple of them."""
-    if isinstance(v, tuple):
-        return tuple(_canon(x) for x in v)
-    if isinstance(v, mp.mpc):
-        return tuple(tuple(int(x) for x in part) for part in v._mpc_)
-    return tuple(int(x) for x in v._mpf_)
-
-
-def _digest(rows):
-    h = hashlib.sha256()
-    for key, fn in rows:
-        try:
-            got = _canon(fn())
-        except (QAsympError, ValueError) as exc:
-            got = ("raises", type(exc).__name__)
-        h.update(repr((key, got)).encode())
-    return h.hexdigest()
 
 
 def _grid(args, call):
@@ -190,7 +170,7 @@ def test_frozen_digest(name):
     grid, size, want = FROZEN[name]
     rows = grid()
     assert len(rows) == size
-    assert _digest(rows) == want
+    assert digest(rows) == want
 
 
 def _parts(v):
@@ -225,5 +205,5 @@ def test_rounded_once_at_any_ambient_precision(name):
         if not isinstance(got, str):
             assert all(x._mpf_[3] <= p for x in _parts(got)), (p, got)
     # compare the values, not repr(key): an mpc key prints by mp.dps
-    assert [(p, got if isinstance(got, str) else _canon(got)) for p, got in low] \
-        == [(p, got if isinstance(got, str) else _canon(got)) for p, got in high]
+    assert [(p, got if isinstance(got, str) else canon(got)) for p, got in low] \
+        == [(p, got if isinstance(got, str) else canon(got)) for p, got in high]

@@ -7,13 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import digest_parts
 from qasymp.qseries import (Gk_series_oracle, _field_bits, gk_from_oracle,
                             gk_series_andrews, pochhammer_series)
 from test_exact_kernels import plain_oracle
-
-
-def digest_parts(series):
-    return series.to_json(), series.low_exponent, series.truncation_order
 
 
 class TestAgainstReferences:

@@ -1,7 +1,8 @@
-"""Calls whose cost grows without bound as s falls refuse before any work:
-gk_num's direct route once its guard C + 96 passes 2^22 bits (NonConvergent),
-and theta_num's direct sum once even a lower bound on its terms passes
-max_terms (TermCapExceeded). Both map to CLI exit 3."""
+"""Calls whose cost grows without bound refuse before any work: any guard past
+2^22 bits in evaluate (NonConvergent), as gk_num's direct route's C + 96 as s
+falls or W_j_num's series guard as w grows, and theta_num's direct sum once even
+a lower bound on its terms passes max_terms (TermCapExceeded). Both map to CLI
+exit 3."""
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ SRC = str(Path(qasymp.__file__).resolve().parents[1])
 PROGRAM = """import sys
 from qasymp.cli import exit_code_for
 from qasymp.hires import EvalConfig, gk_num, theta_num
+from qasymp.wright import W_j_num
 try:
     {call}
 except Exception as exc:
@@ -32,8 +34,10 @@ except Exception as exc:
 @pytest.mark.parametrize("call, error", [
     ('gk_num(2, "1e-200", EvalConfig(64), route="direct")', "NonConvergent"),
     ('gk_num(2, "1e-7", EvalConfig(64), route="direct")', "NonConvergent"),
+    ('gk_num(2, "1e-310", EvalConfig(64), route="direct")', "NonConvergent"),
     ('theta_num("0.1", "1e-200", EvalConfig(64), use_inversion=False)', "TermCapExceeded"),
-], ids=["direct-1e-200", "direct-1e-7", "theta-1e-200"])
+    ('W_j_num(2, 0, 10**4, EvalConfig(64), route="series")', "NonConvergent"),
+], ids=["direct-1e-200", "direct-1e-7", "direct-1e-310", "theta-1e-200", "wj-series-1e4"])
 def test_refuses_promptly_with_exit_3(call, error):
     # a subprocess, so that a runaway sum is killed by the timeout
     proc = subprocess.run([sys.executable, "-c", PROGRAM.format(call=call)],

@@ -2,9 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from qasymp import qseries
 from qasymp.errors import InvalidK
 from qasymp.exactcore import FormalSeries
-from qasymp.qseries import (Gk_series_oracle, _binomial_product,
+from qasymp.qseries import (Gk_series_oracle, _poch_product,
                             chi_series, euler_identity_check, g2_product_side,
                             g2_product_side_as_printed, gk_from_oracle,
                             gk_series_andrews, pochhammer_series,
@@ -36,11 +37,9 @@ class TestPochhammer:
             pochhammer_series(1, 0, 5)
 
     def test_zero_detection_matches_expanded_product(self):
-        # the symbolic term-skip (a <= 0, b | a) agrees with multiplying the
-        # factor list out, including the exact (1 - q^0) = 0 factor
+        # a <= 0 and b | a: the family contains the factor 1 - q^0 = 0
         for a, b in ((-6, 3), (0, 1), (-4, 2)):
-            factors = [(-1, a + m * b) for m in range(0, (8 - a) // b + 2)]
-            assert _binomial_product(factors, 8).is_zero()
+            assert _poch_product([(a, b)], 8).is_zero()
             assert pochhammer_series(a, b, 8).is_zero()
 
 
@@ -171,8 +170,28 @@ class TestChiAndG2:
         printed = g2_product_side_as_printed(10)
         assert g2.coefficient(1) != printed.coefficient(1)
 
+    @pytest.mark.parametrize("order", [0, 1, 10, 60])
+    def test_as_printed_matches_series_algebra(self, order):
+        # the in-place list kernels against FormalSeries multiply and invert
+        plus = FormalSeries.one(order)
+        for n in range(1, order // 3 + 1):
+            plus = plus * (FormalSeries.one(order) + FormalSeries.monomial(1, 3 * n, order))
+        den = pochhammer_series(1, 1, order) * pochhammer_series(2, 2, order)
+        assert g2_product_side_as_printed(order) == chi_series(order) * plus * den.invert()
+
 
 class TestEuler:
     @pytest.mark.parametrize("order", [1, 10, 25])
     def test_identities(self, order):
         assert euler_identity_check(order)
+
+    def test_detects_a_perturbed_division(self, monkeypatch):
+        # 1/(q;q)_n off in its last coefficient breaks the check
+        divide = qseries._divide_binomial
+
+        def perturbed(c, e):
+            divide(c, e)
+            c[-1] += 1
+
+        monkeypatch.setattr(qseries, "_divide_binomial", perturbed)
+        assert not euler_identity_check(8)

@@ -4,30 +4,15 @@ route and theta_num's direct sums take e^{-s n^2}-type terms from running
 multipliers. Frozen digests pin the computed values bit for bit."""
 from __future__ import annotations
 
-import hashlib
 import math
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
 
-from conftest import close_bits
+from conftest import close_bits, digest
 from qasymp import hires
 from qasymp.hires import EvalConfig, I_n_num, gk_num, theta_num
-
-
-def _canon(v):
-    """The exact (sign, man, exp, bc) tuple(s) of an mpf or mpc, as plain ints."""
-    if isinstance(v, mp.mpc):
-        return tuple(tuple(int(x) for x in part) for part in v._mpc_)
-    return tuple(int(x) for x in v._mpf_)
-
-
-def _digest(rows):
-    h = hashlib.sha256()
-    for key, fn in rows:
-        h.update(repr((key, _canon(fn()))).encode())
-    return h.hexdigest()
 
 
 GK_S = ["0.025", "0.05", "0.075", "0.1", "0.15", "0.2", "0.3", "0.35", "0.45", "0.5"]
@@ -54,7 +39,7 @@ def gk_direct_grid():
             yield (k, s, 256), lambda k=k, s=s: gk_num(k, s, EvalConfig(256), route="direct")
 
 
-# sha256 over repr((key, _canon(value))) of the values computed by the per-n
+# sha256 over repr((key, canon(value))) of the values computed by the per-n
 # m-loop with all-mpf seed products and an mp.exp per direct theta term
 FROZEN = {
     "gk_insum": (gk_insum_grid, 100,
@@ -71,7 +56,7 @@ def test_frozen_digest(name):
     grid, size, want = FROZEN[name]
     rows = list(grid())
     assert len(rows) == size
-    assert _digest(rows) == want
+    assert digest(rows) == want
 
 
 class TestBinnedIn:
