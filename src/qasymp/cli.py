@@ -65,10 +65,15 @@ def _precision_bits(text: str) -> int:
     return bits
 
 
+def _wide(ns: argparse.Namespace, core, *args):
+    """core(*args) at precision_bits + 32 bits, where the CLI reads its grid and
+    does its own arithmetic."""
+    return hires.evaluate(EvalConfig(ns.precision_bits + 32), 0, core, *args)
+
+
 def _grid(ns: argparse.Namespace) -> list:
     """Each --s value as its decimal text and as an mpf at precision_bits + 32."""
-    with hires.LOCK, mp.workprec(ns.precision_bits + 32):
-        return [(str(v), hires.frac_to_mpf(v)) for v in ns.s_grid]
+    return [(str(v), _wide(ns, hires.frac_to_mpf, v)) for v in ns.s_grid]
 
 
 def _emit(rows, header, ns: argparse.Namespace) -> str:
@@ -115,9 +120,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     for text, s in _grid(ns):
         g, r = hires.gk_and_relative_error_num(ns.k, s, ec)
         e = expansion.expansion_eval(ns.k, ns.n_order, s, ec)
-        with hires.LOCK, mp.workprec(ns.precision_bits + 32):
-            dev = abs(g - e) / abs(g)
-            w0 = wright.W_j_num(ns.k, 0, _w_of_s(ns.k, s), ec)
+        dev, w = _wide(ns, lambda: (abs(g - e) / abs(g), _w_of_s(ns.k, s)))
+        w0 = wright.W_j_num(ns.k, 0, w, ec)
         deviations.append(dev)
         rows.append((text, *(hires.format_real(x, ec) for x in (g, e, dev, r, w0))))
     _write(_emit(rows, ("s", "g_k", "expansion", "rel_dev", "R_k", "W0"), ns), ns)
@@ -164,8 +168,7 @@ def cmd_wright(ns: argparse.Namespace) -> int:
     for text, w in _grid(ns):
         if ns.which == "phi":
             rho = Fraction(ns.k, ns.k + 1)
-            with hires.LOCK, mp.workprec(ns.precision_bits + 32):
-                z = w * mp.expjpi(hires.frac_to_mpf(rho))
+            z = _wide(ns, lambda: w * mp.expjpi(hires.frac_to_mpf(rho)))
             val = wright.wright_phi(wright.WrightParams(rho), z, ec)
             rows.append((text, hires.format_real(mp.re(val), ec),
                          hires.format_real(mp.im(val), ec)))
@@ -183,9 +186,8 @@ def cmd_plotdata(ns: argparse.Namespace) -> int:
     for text, s in _grid(ns):
         g = hires.gk_num(ns.k, s, ec)
         e = expansion.expansion_eval(ns.k, ns.n_order, s, ec)
-        with hires.LOCK, mp.workprec(ns.precision_bits + 32):
-            dev = abs(g - e) / abs(g)
-            logdev = mp.log10(dev) if dev > 0 else mp.mpf("-inf")
+        dev = _wide(ns, lambda: abs(g - e) / abs(g))
+        logdev = _wide(ns, mp.log10, dev) if dev > 0 else mp.mpf("-inf")
         rows.append((text, mp.nstr(logdev, 17)))
     _write(_emit(rows, ("s", "log10_rel_dev"), ns), ns)
     return EXIT_OK

@@ -172,10 +172,6 @@ class FormalSeries:
         return cls(0, (), truncation_order)
 
     @classmethod
-    def one(cls, truncation_order: int) -> "FormalSeries":
-        return cls(0, (1,), truncation_order)
-
-    @classmethod
     def monomial(cls, c: Coeff, exponent: int, truncation_order: int) -> "FormalSeries":
         return cls(exponent, (c,), truncation_order)
 
@@ -258,23 +254,6 @@ class FormalSeries:
 
     def __sub__(self, other: "FormalSeries") -> "FormalSeries":
         return self + (-other)
-
-    def scale(self, c: Coeff) -> "FormalSeries":
-        if c == 0:
-            return FormalSeries.zero(self.trunc)
-        return FormalSeries(self.low, [a * c for a in self.coeffs], self.trunc)
-
-    def shift(self, d: int) -> "FormalSeries":
-        """Multiply by q^d."""
-        return FormalSeries(self.low + d, self.coeffs, self.trunc + d)
-
-    def truncate(self, order: int) -> "FormalSeries":
-        if order > self.trunc:
-            raise SeriesTruncationError("cannot extend a truncated series")
-        if order == self.trunc:
-            return self
-        cs = [c for i, c in enumerate(self.coeffs) if self.low + i <= order]
-        return FormalSeries(self.low, cs, order)
 
     def _nonzero(self) -> list[tuple[int, Coeff]]:
         """(index into coeffs, coefficient) for the nonzero stored coefficients."""

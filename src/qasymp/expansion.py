@@ -25,8 +25,8 @@ import mpmath as mp
 
 from .errors import DivisionByZeroBeta, ReconstructionFailed, check_k
 from .exactcore import ZPolynomial, bernoulli_number, rational_to_str
-from .hires import (LOCK, EvalConfig, evaluate, frac_to_mpf, gamma_q_num, keep_longest,
-                    mpf_to_fraction)
+from .hires import (EvalConfig, check_positive, evaluate, exact, frac_to_mpf, gamma_q_num,
+                    keep_longest)
 
 
 def _f2j_integers(k: int, j: int) -> tuple[list, int]:
@@ -209,11 +209,10 @@ def expansion_eval(k: int, n_order: int, s, cfg: EvalConfig):
     check_k(k)
     if n_order < 0:
         raise ValueError("N must be >= 0")
+    check_positive(s, "s")
 
     def core():
         sv = frac_to_mpf(s)
-        if not sv > 0:
-            raise ValueError("s must be positive")
         series = mp.mpf(k + 1) / k
         for j in range(1, k * n_order + 1):
             b = beta_coeff(k, j, cfg)
@@ -246,12 +245,13 @@ def rational_ratio(k: int, j: int, m: int, cfg: EvalConfig) -> Fraction:
         return Fraction(1)
     bits = max(cfg.precision_bits, 192)
     sub = EvalConfig(bits)
-    with LOCK, mp.workprec(bits + 16):
+
+    def core():
         den = beta_coeff(k, j, sub)
         if den == 0 or abs(den) < mp.mpf(2) ** (-(bits // 2)):
             raise DivisionByZeroBeta(f"beta_{k}({j}) vanishes; ratio undefined")
         num = beta_coeff(k, j + m * k, sub)
-        x = mpf_to_fraction(num / den)
+        x = exact(num / den)
         best = x.limit_denominator(2 ** (bits // 2))
         resid = abs(x - best)
         if resid > Fraction(1, 2 ** (bits // 2)) \
@@ -261,6 +261,7 @@ def rational_ratio(k: int, j: int, m: int, cfg: EvalConfig) -> Fraction:
                 f"beta_{k}({j + m * k})/beta_{k}({j}) with denominator {best.denominator}; "
                 "increase precision_bits")
         return best
+    return evaluate(sub, 16, core)  # a Fraction comes back unrounded
 
 
 def zagier_t_coeffs(m_max: int, cfg: EvalConfig):

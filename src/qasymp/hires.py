@@ -5,7 +5,8 @@ internally everything runs at an elevated working precision sized to absorb
 known cancellation (tracked per route), and results are rounded back to the
 target precision. Re-running with doubled precision therefore moves a result
 by no more than the final rounding, which is the package's precision contract.
-Every numeric argument is read by one rule, frac_to_mpf.
+Every numeric argument is converted by one rule, frac_to_mpf; a real one is read
+exactly by exact, and every positivity check (check_positive) reads it so.
 
 The small-s route (gk_num's insum and I_n_num) runs one m-loop per (k, s): its
 real terms are binned by m mod 2(k+1), and each odd n then costs 2(k+1) phase
@@ -30,11 +31,12 @@ expansion) stop in one loop, _sum_until, each with its own run length and test.
 Every numeric export returns through evaluate, which runs its core at
 precision_bits + guard bits and rounds once to precision_bits, under one lock
 (LOCK), since mpmath's working precision is process-wide; past 2^22 guard bits
-it raises NonConvergent first. theta_num's sums rerun by their cancellation as
-the small-s route does. The shared state is two caches: the newest 256
-(q;q)_infinity values in an lru_cache keyed by (s, route, working precision),
-and the longest exact g_k series per k (_GK_SERIES_CACHE, through keep_longest,
-which expansion's table cache uses too).
+it raises NonConvergent first. evaluate and format_real are the package's only
+precision entries (the CLI's own arithmetic is a core at guard 0). theta_num's
+sums rerun by their cancellation as the small-s route does. The shared state is
+two caches: the newest 256 (q;q)_infinity values in an lru_cache keyed by
+(s, route, working precision), and the longest exact g_k series per k
+(_GK_SERIES_CACHE, through keep_longest, which expansion's table cache uses too).
 """
 from __future__ import annotations
 
@@ -96,13 +98,25 @@ def as_float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-def mpf_to_fraction(x) -> Fraction:
-    """Exact Fraction equal to the mpf value."""
-    sign, man, exp, _ = mp.mpf(x)._mpf_
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(man, 1) * (Fraction(2) ** exp)
-    return -v if sign else v
+def exact(x) -> Fraction:
+    """The exact value of a real argument: an mpf bit for bit (ValueError if it is
+    infinite or nan), an int, str, Fraction or float exactly (a float at its binary
+    value); TypeError for any other type."""
+    if isinstance(x, mp.mpf):
+        if not mp.isfinite(x):
+            raise ValueError(f"{x} is not a finite real")
+        sign, man, exp, _ = x._mpf_
+        return Fraction(-man if sign else man) * Fraction(2) ** exp
+    if isinstance(x, (int, str, Fraction, float)):
+        return Fraction(x)
+    raise TypeError(f"need a real number, got {type(x).__name__}")
+
+
+def check_positive(x, name: str) -> None:
+    """ValueError("<name> must be positive") unless x, read exactly, is positive;
+    an mpf or float is compared as it is, so +inf passes."""
+    if not (x if isinstance(x, (mp.mpf, float)) else exact(x)) > 0:
+        raise ValueError(f"{name} must be positive")
 
 
 def format_real(x, cfg: EvalConfig) -> str:
@@ -290,18 +304,12 @@ def pochhammer_num(z, q, cfg: EvalConfig):
 
 def qq_infinity_num(s, cfg: EvalConfig, use_transform=None):
     """(q;q)_infinity at q = e^{-s}; transform route selectable for cross-checks."""
-    def core():
-        sv = frac_to_mpf(s)
-        if not sv > 0:
-            raise NonConvergent("s must be positive")
-        return _qq_inf_core(sv, use_transform)
-    return evaluate(cfg, 48, core)
+    check_positive(s, "s")
+    return evaluate(cfg, 48, lambda: _qq_inf_core(frac_to_mpf(s), use_transform))
 
 
 def _is_nonpositive_int(x, prec) -> bool:
-    if isinstance(x, int):
-        return x <= 0
-    if isinstance(x, Fraction):
+    if isinstance(x, (int, Fraction)):
         return x.denominator == 1 and x <= 0
     if isinstance(x, (mp.mpc, complex)):
         if mp.im(x) != 0:
@@ -365,9 +373,8 @@ def theta_num(u, s, cfg: EvalConfig, use_inversion=None):
     route is: past 16 bits (near a zero of theta) they rerun with guard and stop
     rule raised by it plus 16, at most 3 passes in all (_measured_evaluate).
     """
+    check_positive(s, "s")
     sf = as_float(s)
-    if not sf > 0:
-        raise NonConvergent("theta_num needs s > 0")
     if use_inversion is None:
         use_inversion = sf < 1
     n = cfg.max_terms
@@ -575,8 +582,7 @@ def I_n_num(k, n, s, cfg: EvalConfig):
     check_k(k)
     if n % 2 == 0:
         raise ValueError("I_n is defined for odd n")
-    if not as_float(s) > 0:
-        raise NonConvergent("I_n needs s > 0")
+    check_positive(s, "s")
 
     def core(sub):
         bins, mm = _In_bins(k, n, frac_to_mpf(s), sub)
@@ -706,9 +712,8 @@ def gk_num(k, s, cfg: EvalConfig, route: str = "auto"):
     2.5e-7 for k = 2) evaluate's ceiling raises NonConvergent before any conversion.
     """
     check_k(k)
+    check_positive(s, "s")
     sf = as_float(s)
-    if not sf > 0:
-        raise ValueError("s must be positive")
     if route == "auto":
         route = "series" if sf >= 1 else "insum"
     if route == "series":

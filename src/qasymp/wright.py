@@ -45,11 +45,11 @@ Three evaluation routes for the real parts:
   series' cancellation is deep). Series and quadrature pin each other below
   `W_j_num`'s first switch, expansion and quadrature above it.
 
-rho and beta are taken as exact Fractions so that the poles of Gamma(beta - rho n)
-(terms skipped exactly) are detected symbolically, never by floating comparison.
-Inputs given as int, str or Fraction are read exactly; a float is taken at its
-exact binary value (Fraction(x)), never rounded to a nearby simple fraction.
-The arguments z and w follow hires.frac_to_mpf.
+rho and beta are read by hires.exact (an int, str or Fraction as it is, a float or
+an mpf at its exact binary value, never rounded to a nearby simple fraction), so that
+the poles of Gamma(beta - rho n) (terms skipped exactly) are detected symbolically,
+never by floating comparison. The sizes of w and |z| and the checks w, z > 0 read
+them the same way; the sums take them through hires.frac_to_mpf.
 """
 from __future__ import annotations
 
@@ -62,15 +62,7 @@ import mpmath as mp
 from mpmath.libmp import to_fixed
 
 from .errors import InvalidRho, NonConvergent, TermCapExceeded, check_k
-from .hires import EvalConfig, _sum_until, as_float, evaluate, frac_to_mpf, mpf_to_fraction
-
-LN2 = math.log(2.0)
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, (Fraction, int, str, float)):
-        return Fraction(x)
-    raise TypeError(f"need an exact rational, got {type(x).__name__}")
+from .hires import LN2, EvalConfig, _sum_until, check_positive, evaluate, exact, frac_to_mpf
 
 
 @dataclass(frozen=True)
@@ -81,8 +73,8 @@ class WrightParams:
     beta: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", _as_fraction(self.rho))
-        object.__setattr__(self, "beta", _as_fraction(self.beta))
+        object.__setattr__(self, "rho", exact(self.rho))
+        object.__setattr__(self, "beta", exact(self.beta))
         if not self.rho < 1:
             raise NonConvergent(f"wright series needs rho < 1, got rho={self.rho}")
 
@@ -98,7 +90,7 @@ def _sinpi_frac(x: Fraction):
 def reciprocal_gamma(x: Fraction):
     """1/Gamma(x) for exact rational x: exact zero at non-positive integers,
     reflection through Gamma(1-x) sin(pi x)/pi for x < 1/2."""
-    x = _as_fraction(x)
+    x = exact(x)
     if x.denominator == 1 and x <= 0:
         return mp.mpf(0)
     if x >= Fraction(1, 2):
@@ -150,11 +142,6 @@ def _rgamma_stream(rho: Fraction, beta: Fraction):
         yield val
 
 
-def _exact(x) -> Fraction:
-    """The exact value of a real argument: an mpf bit for bit, any other by _as_fraction."""
-    return mpf_to_fraction(x) if isinstance(x, mp.mpf) else _as_fraction(x)
-
-
 def _log(x: Fraction) -> float:
     """Natural log of x > 0 from its numerator and denominator, past the float range."""
     return math.log(x.numerator) - math.log(x.denominator)
@@ -165,7 +152,7 @@ def _phi_log_peak(rho: Fraction, zabs) -> float:
     (1-rho) |rho|^{rho/(1-rho)} |z|^{1/(1-rho)}: math.inf where log|z| of the exact
     |z| puts it past the float range, the float power below that."""
     r = float(rho)
-    f = _exact(zabs)
+    f = exact(zabs)
     if f and _log(f) > 700 * (1 - r):
         return math.inf
     return (1 - r) * (abs(r) ** (r / (1 - r))) * float(f) ** (1.0 / (1 - r))
@@ -179,7 +166,7 @@ def _phi_cancel_bits(rho: Fraction, zabs) -> int:
     For rho <= 0, phi is an entire function of order 1/(1+|rho|) that grows like
     exp(peak) along one direction and can be as small as exp(-peak) along
     another (e^z/Gamma(beta) at rho = 0), so the guard covers twice the peak."""
-    if _exact(zabs) <= 1:
+    if exact(zabs) <= 1:
         return 16
     peak = _phi_log_peak(rho, zabs)
     if rho <= 0:
@@ -283,13 +270,12 @@ def re_phi_expansion(rho, z, L: int, cfg: EvalConfig):
                     Gamma(l/rho) z^{-l/rho} sin(pi l (2 rho - 1)/rho),
 
     remainder O(z^{-L/rho}) (reported by order, not added to the value)."""
-    rho = _as_fraction(rho)
+    rho = exact(rho)
     if not (Fraction(1, 2) <= rho < 1):
         raise InvalidRho(f"expansion valid for 1/2 <= rho < 1, got {rho}")
     if L < 1:
         raise ValueError("L must be >= 1")
-    if not as_float(z) > 0:
-        raise ValueError("expansion is implemented on the ray z > 0")
+    check_positive(z, "z")
 
     def core():
         zv = frac_to_mpf(z)
@@ -401,7 +387,7 @@ def _Wj_series_core(k: int, j: int, w, cfg: EvalConfig):
     1.35 ms at 192 bits, 2-core Xeon, mpmath 1.3.0 on its Python backend), and those
     ops set its op_p50_s, whose bound is 25%."""
     q, p, wp = k + 1, cfg.precision_bits, mp.mp.prec
-    wf = _exact(w)
+    wf = exact(w)
     n_cap = _phi_term_cap(Fraction(k, q), wf, cfg)
     wq_num, wq_den = (-1) ** k * wf.numerator ** q, wf.denominator ** q
     cut, log_cut, log_w = 1 << (wp - p - 32), math.log(math.pi) - (p + 32) * LN2, _log(wf)
@@ -504,8 +490,7 @@ def W_j_num(k: int, j: int, w, cfg: EvalConfig, route: str = "auto"):
     check_k(k)
     if j < 0:
         raise ValueError("j must be >= 0")
-    if not _exact(w) > 0:
-        raise ValueError("W_j is evaluated for w > 0")
+    check_positive(w, "w")
     bits = _phi_cancel_bits(Fraction(k, k + 1), w)
     p = cfg.precision_bits
     if route == "auto":

@@ -92,7 +92,7 @@ class TestSeriesBasics:
     def test_mul_inverse_pair(self):
         a = FormalSeries(0, [1, -1], 3)
         b = FormalSeries(0, [1, 1, 1, 1], 3)
-        assert (a * b) == FormalSeries.one(3)
+        assert (a * b) == FormalSeries(0, [1], 3)
 
     def test_invert_at_zero_raises(self):
         with pytest.raises(InvertAtZero):
@@ -109,12 +109,6 @@ class TestSeriesBasics:
         b = FormalSeries.monomial(1, 5, 40)
         # unknown tail of a (beyond q^3) lands at q^8; product known only to 8
         assert (a * b).truncation_order == 8
-
-    def test_shift_and_truncate(self):
-        s = FormalSeries(0, [1, 2, 3], 5)
-        assert s.shift(2).low_exponent == 2
-        assert s.shift(2).truncation_order == 7
-        assert s.truncate(1) == FormalSeries(0, [1, 2], 1)
 
     def test_serialization_round_trip(self):
         s = FormalSeries(-1, [F(-7, 192), 0, F(5)], 4)

@@ -1,13 +1,17 @@
 """Guard bits sized from the size of the terms: Wright's phi for rho <= 0 and the
-beta_k(j) sum; the class-wide term cap; and the bounded and shared caches."""
+beta_k(j) sum; the class-wide term cap; the bounded and shared caches; and the
+one module that sets mpmath's working precision."""
 import random
+import re
 import sys
 import threading
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+import qasymp
 from conftest import close_bits
 from qasymp import expansion, hires, qseries
 from qasymp.errors import TermCapExceeded
@@ -153,3 +157,18 @@ class TestBoundedCaches:
         assert {k: biv.j_max for k, biv in expansion._BIV_CACHE.items()} == {2: 9, 3: 9}
         assert {k: ser.truncation_order
                 for k, ser in hires._GK_SERIES_CACHE.items()} == longest
+
+
+class TestOnePrecisionEntry:
+    def test_only_hires_sets_the_working_precision(self):
+        """mpmath's working precision is process-wide, so only hires sets it, under
+        LOCK (evaluate and format_real). The one exception is wright's 53-bit bound
+        on a pole term, which runs inside a core that evaluate already holds."""
+        entry = re.compile(r"\bLOCK\b|work(prec|dps)\(|extraprec\(|\.(prec|dps)\s*=[^=]")
+        found = {}
+        for path in sorted(Path(qasymp.__file__).parent.glob("*.py")):
+            hits = [line.strip() for line in path.read_text().splitlines() if entry.search(line)]
+            if hits:
+                found[path.name] = hits
+        assert "with mp.workprec(cfg.precision_bits + guard):" in found.pop("hires.py")
+        assert found == {"wright.py": ["with mp.workprec(53):"]}

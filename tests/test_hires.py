@@ -8,9 +8,9 @@ from conftest import close_bits
 from qasymp import hires
 from qasymp.errors import InvalidK, NonConvergent, PoleAtNonpositive
 from qasymp.exactcore import bernoulli_number, bernoulli_polynomial
-from qasymp.hires import (EvalConfig, I_n_num, frac_to_mpf, gamma_q_num, gk_num,
-                          mpf_to_fraction, pochhammer_num, qq_infinity_num,
-                          qsubz_num, relative_error_num, theta_num)
+from qasymp.hires import (EvalConfig, I_n_num, exact, frac_to_mpf, gamma_q_num, gk_num,
+                          pochhammer_num, qq_infinity_num, qsubz_num, relative_error_num,
+                          theta_num)
 
 
 class TestEvalConfig:
@@ -25,7 +25,18 @@ class TestEvalConfig:
     def test_mpf_fraction_round_trip(self):
         with mp.workprec(128):
             x = mp.mpf(7) / 3
-            assert frac_to_mpf(mpf_to_fraction(x)) == x
+            assert frac_to_mpf(exact(x)) == x
+            assert exact(-x) == -exact(x)
+        assert exact(mp.mpf("1e-400")) > 0
+        assert exact(mp.mpf(0)) == 0
+
+    def test_exact_refuses_what_is_not_a_finite_real(self):
+        for x in (mp.inf, -mp.inf, mp.nan):
+            with pytest.raises(ValueError):
+                exact(x)
+        for x in (1j, mp.mpc(1), None):
+            with pytest.raises(TypeError):
+                exact(x)
 
 
 class TestPochhammerNum:

@@ -1,6 +1,6 @@
-"""Edges of the numeric layer: arguments beyond the float range, the CLI's
-precision changes against threaded library calls, and gk_num's three routes
-around the s = 1 switch."""
+"""Edges of the numeric layer: arguments beyond the float range on both sides,
+read exactly, the CLI's precision changes against threaded library calls, and
+gk_num's three routes around the s = 1 switch."""
 import math
 import sys
 import threading
@@ -13,10 +13,24 @@ from hypothesis import strategies as st
 
 from conftest import close_bits
 from qasymp import cli
-from qasymp.hires import (EvalConfig, I_n_num, as_float, gk_num, relative_error_num,
-                          theta_num)
+from qasymp.expansion import expansion_eval
+from qasymp.hires import (EvalConfig, I_n_num, as_float, gk_num, qq_infinity_num,
+                          relative_error_num, theta_num)
+from qasymp.wright import W_j_num, WrightParams, re_phi_expansion, wright_phi
 
 HUGE = ("1e400", Fraction(10) ** 400, 10 ** 400)
+TINY = ("1e-400", Fraction(1, 10 ** 400), mp.mpf("1e-400"))
+
+# every export that checks a real argument for positivity
+CHECKED = {
+    "gk_num": lambda s: gk_num(2, s, EvalConfig(64)),
+    "theta_num": lambda s: theta_num(0, s, EvalConfig(64)),
+    "I_n_num": lambda s: I_n_num(2, 1, s, EvalConfig(64)),
+    "qq_infinity_num": lambda s: qq_infinity_num(s, EvalConfig(64)),
+    "expansion_eval": lambda s: expansion_eval(2, 1, s, EvalConfig(64)),
+    "W_j_num": lambda w: W_j_num(2, 0, w, EvalConfig(64)),
+    "re_phi_expansion": lambda z: re_phi_expansion(Fraction(3, 4), z, 4, EvalConfig(64)),
+}
 
 
 def bits_of(x):
@@ -40,6 +54,48 @@ class TestBeyondFloatRange:
         assert len(got) == 1
         if name in ("gk_num", "theta_num"):
             assert got == {mp.mpf(1)._mpf_}
+
+    @pytest.mark.parametrize("name, export, want", [
+        # a q-product head at s = 1e-400 needs about 1e400 factors, so the m-loop
+        # refuses (CLI exit 3); the inverted theta sum and the expansion need none
+        ("gk_num", CHECKED["gk_num"], "TermCapExceeded"),
+        ("relative_error_num", lambda s: relative_error_num(2, s, EvalConfig(64)),
+         "TermCapExceeded"),
+        ("theta_num", CHECKED["theta_num"], "mpf"),
+        ("I_n_num", CHECKED["I_n_num"], "TermCapExceeded"),
+        ("re_phi_expansion", CHECKED["re_phi_expansion"], "mpf"),
+    ])
+    def test_tiny_arguments_are_positive_in_every_form(self, name, export, want):
+        outcomes, values = set(), []
+        for s in TINY:
+            try:
+                values.append(bits_of(export(s)))
+                outcomes.add("mpf")
+            except Exception as exc:  # the outcome is the error's name
+                outcomes.add(type(exc).__name__)
+        assert outcomes == {want}
+        if values:
+            # the str and the Fraction are the same number; the mpf is 1e-400 at 53 bits
+            assert values[0] == values[1]
+
+    @pytest.mark.parametrize("x", ["-1e-400", 0, mp.nan], ids=["-1e-400", "0", "nan"])
+    @pytest.mark.parametrize("name", sorted(CHECKED))
+    def test_not_positive_is_a_value_error(self, name, x):
+        with pytest.raises(ValueError, match="must be positive"):
+            CHECKED[name](x)
+
+    def test_infinity(self):
+        # +inf is positive; an export that sizes its work from the exact value refuses it
+        assert gk_num(2, mp.inf, EvalConfig(64)) == 1
+        assert theta_num(0, mp.inf, EvalConfig(64)) == 1
+        with pytest.raises(ValueError):
+            W_j_num(2, 0, mp.inf, EvalConfig(64))
+        with pytest.raises(ValueError):
+            wright_phi(WrightParams(3 / 4), mp.inf, EvalConfig(64))
+
+    def test_wright_params_read_an_mpf_exactly(self):
+        assert WrightParams(mp.mpf(0.75), mp.mpf(-2.5)) == WrightParams(Fraction(3, 4),
+                                                                      Fraction(-5, 2))
 
 
 class TestCliUnderThreads:

@@ -74,3 +74,13 @@ def test_theta_refusal_follows_the_term_bound(monkeypatch):
     with pytest.raises(TermCapExceeded):
         theta_num("0.3", "0.02", cfg, use_inversion=False)
     assert sums == []
+
+
+def test_cli_reads_a_tiny_s_as_positive():
+    # s = 1e-400 passes every positivity check read exactly; the q-product head it
+    # needs, about 1e400 factors, is refused before any of them
+    proc = subprocess.run([sys.executable, "-m", "qasymp", "verify", "--s", "1e-400",
+                           "--prec", "64"], capture_output=True, text=True, timeout=15,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 3, proc.stderr
+    assert "past max_terms" in proc.stderr
