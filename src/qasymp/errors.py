@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the check of k they share."""
+"""Exception types shared across the package, and the range checks they share."""
 
 
 class QAsympError(Exception):
@@ -21,6 +21,12 @@ def check_k(k: int) -> None:
     """Raise InvalidK unless k >= 2."""
     if k < 2:
         raise InvalidK(f"k must be >= 2, got {k}")
+
+
+def check_at_least(value: int, lo: int, name: str) -> None:
+    """Raise ValueError("<name> must be >= <lo>") unless value >= lo."""
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}")
 
 
 class InvalidRho(QAsympError):

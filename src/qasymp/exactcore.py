@@ -17,7 +17,7 @@ from math import comb
 from operator import add
 from typing import Iterable, Sequence, Union
 
-from .errors import InvertAtZero, SeriesTruncationError
+from .errors import InvertAtZero, SeriesTruncationError, check_at_least
 
 Coeff = Union[int, Fraction]
 
@@ -38,8 +38,7 @@ _BERNOULLI_LOCK = threading.Lock()
 
 def bernoulli_number(m: int) -> Fraction:
     """B_m with B_1 = -1/2, via the recurrence sum_{i<=m} C(m+1,i) B_i = 0."""
-    if m < 0:
-        raise ValueError("Bernoulli index must be >= 0")
+    check_at_least(m, 0, "Bernoulli index")
     if m >= len(_BERNOULLI):
         with _BERNOULLI_LOCK:
             while len(_BERNOULLI) <= m:
@@ -53,8 +52,7 @@ def bernoulli_number(m: int) -> Fraction:
 
 def bernoulli_polynomial(m: int) -> "ZPolynomial":
     """B_m(x) = sum_i C(m,i) B_i x^{m-i}; degree exactly m."""
-    if m < 0:
-        raise ValueError("Bernoulli index must be >= 0")
+    check_at_least(m, 0, "Bernoulli index")
     coeffs = [Fraction(0)] * (m + 1)
     for i in range(m + 1):
         coeffs[m - i] = comb(m, i) * bernoulli_number(i)

@@ -23,7 +23,7 @@ from operator import add
 
 import mpmath as mp
 
-from .errors import DivisionByZeroBeta, ReconstructionFailed, check_k
+from .errors import DivisionByZeroBeta, ReconstructionFailed, check_at_least, check_k
 from .exactcore import ZPolynomial, bernoulli_number, rational_to_str
 from .hires import (EvalConfig, check_positive, evaluate, exact, frac_to_mpf, gamma_q_num,
                     keep_longest)
@@ -52,8 +52,7 @@ def _f2j_integers(k: int, j: int) -> tuple[list, int]:
 def f2j_polynomial(k: int, j: int) -> ZPolynomial:
     """f_{2j}(z) with rational coefficients, exact, degree 2j+1 (see _f2j_integers)."""
     check_k(k)
-    if j < 1:
-        raise ValueError("j must be >= 1")
+    check_at_least(j, 1, "j")
     nums, den = _f2j_integers(k, j)
     return ZPolynomial([Fraction(x, den) for x in nums])
 
@@ -98,8 +97,7 @@ def hq_bivariate(k: int, j_max: int) -> BivariateExpansion:
     in z, each kept as integer coefficients over one denominator, reduced by one
     gcd per row."""
     check_k(k)
-    if j_max < 1:
-        raise ValueError("j_max must be >= 1")
+    check_at_least(j_max, 1, "j_max")
     biv = keep_longest(_BIV_CACHE, k, j_max, lambda b: b.j_max,
                        lambda: _bivariate_table(k, j_max))
     if biv.j_max == j_max:
@@ -158,8 +156,7 @@ def beta_rational(k: int, j: int) -> Fraction:
     (x0)_{m(k+1)} k^{m(k+1)} = prod_{i < m(k+1)} (j0(k+1) + ki) is an integer.
     Zero when k | j."""
     check_k(k)
-    if j < 1:
-        raise ValueError("j must be >= 1")
+    check_at_least(j, 1, "j")
     j0 = j % k
     if j0 == 0:
         return Fraction(0)
@@ -183,10 +180,7 @@ def beta_coeff(k: int, j: int, cfg: EvalConfig):
     This is the sum beta_k(j) = sum_{kr+l=j, r>=0, l>=1} b_k(l)
     sum_{n=0}^{2r} a_{n,r} (-l)^n (k+1)^{n-l} k^{l(k+1)/k - n}, each b_k(l)
     k^{l(k+1)/k} being T_k(j0) times a rational. Exactly zero when k | j."""
-    check_k(k)
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    if j % k == 0:
+    if beta_rational(k, j) == 0:
         return mp.mpf(0)
     return _beta_at(k, j, cfg.precision_bits)
 
@@ -207,8 +201,7 @@ def expansion_eval(k: int, n_order: int, s, cfg: EvalConfig):
     """(1/(k+1)) sqrt(2 pi/s) e^{-pi^2/(3k(k+1)s) + s/24}
     ((k+1)/k + sum_{j=1}^{kN} beta_k(j) s^{j/k})."""
     check_k(k)
-    if n_order < 0:
-        raise ValueError("N must be >= 0")
+    check_at_least(n_order, 0, "N")
     check_positive(s, "s")
 
     def core():
@@ -239,8 +232,7 @@ def rational_ratio(k: int, j: int, m: int, cfg: EvalConfig) -> Fraction:
     check_k(k)
     if not (1 <= j < k):
         raise ValueError("rational ratios are defined for 1 <= j < k")
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    check_at_least(m, 0, "m")
     if m == 0:
         return Fraction(1)
     bits = max(cfg.precision_bits, 192)
@@ -268,8 +260,7 @@ def zagier_t_coeffs(m_max: int, cfg: EvalConfig):
     """Coefficient lists of Zagier's t1 and t2 through s^m_max (k = 3):
     t1[m] = beta_3(1+3m)/beta_3(1), t2[m] = 5 beta_3(2+3m)/beta_3(2), taken as
     exact ratios of beta_rational, so they do not depend on cfg (kept for callers)."""
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
+    check_at_least(m_max, 0, "m_max")
     t1 = [beta_rational(3, 1 + 3 * m) / beta_rational(3, 1) for m in range(m_max + 1)]
     t2 = [5 * beta_rational(3, 2 + 3 * m) / beta_rational(3, 2) for m in range(m_max + 1)]
     return t1, t2

@@ -51,7 +51,7 @@ import mpmath as mp
 from mpmath.libmp import to_fixed
 
 from . import qseries
-from .errors import NonConvergent, PoleAtNonpositive, TermCapExceeded, check_k
+from .errors import NonConvergent, PoleAtNonpositive, TermCapExceeded, check_at_least, check_k
 
 LN2 = math.log(2.0)
 
@@ -69,8 +69,7 @@ class EvalConfig:
     max_terms: ClassVar[int] = 2_000_000
 
     def __post_init__(self):
-        if self.precision_bits < 64:
-            raise ValueError("precision_bits must be >= 64")
+        check_at_least(self.precision_bits, 64, "precision_bits")
 
     @property
     def threshold(self):
@@ -594,7 +593,7 @@ def I_n_num(k, n, s, cfg: EvalConfig):
 _GK_SERIES_CACHE: dict = {}  # k -> the longest exact g_k series computed
 
 
-def _gk_series_core(k, s, cfg):
+def _gk_series_core(k, s):
     """sum_{e <= order} c_e e^{-s e}, order ~ prec/s; the cached series may be longer."""
     s = frac_to_mpf(s)
     order = int((mp.mp.prec + 16) * LN2 / float(s)) + 16
@@ -717,7 +716,7 @@ def gk_num(k, s, cfg: EvalConfig, route: str = "auto"):
     if route == "auto":
         route = "series" if sf >= 1 else "insum"
     if route == "series":
-        return evaluate(cfg, 64, _gk_series_core, k, s, cfg)
+        return evaluate(cfg, 64, _gk_series_core, k, s)
     if route == "insum":
         return _measured_evaluate(cfg, _gk_insum_core, k, s)
     if route == "direct":
@@ -738,7 +737,6 @@ def relative_error_num(k, s, cfg: EvalConfig, route: str = "auto"):
 def gk_and_relative_error_num(k, s, cfg: EvalConfig, route: str = "auto"):
     """(g_k(e^{-s}), R_k(e^{-s})) to the configured precision from one g_k
     evaluation, made at precision_bits + 32 bits because R_k needs them."""
-    check_k(k)
     g = gk_num(k, s, EvalConfig(cfg.precision_bits + 32), route=route)
 
     def core():

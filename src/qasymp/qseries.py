@@ -25,7 +25,7 @@ from __future__ import annotations
 from math import floor, isqrt, log, pi, sqrt
 from operator import add, sub
 
-from .errors import check_k
+from .errors import check_at_least, check_k
 from .exactcore import FormalSeries
 
 
@@ -86,8 +86,7 @@ def pochhammer_series(a: int, b: int, order: int) -> FormalSeries:
     those of theta(q^-1, q^3) up to 2 order/b; every other family multiplies out
     its binomials (_poch_product).
     """
-    if b < 1:
-        raise ValueError("pochhammer base step b must be >= 1")
+    check_at_least(b, 1, "pochhammer base step b")
     if a == b:
         return FormalSeries.from_terms({e * b // 2: c for e, c in
                                         _theta_terms(-1, 3, 2 * order // b).items()}, order)
@@ -128,8 +127,7 @@ def _theta_terms(m: int, t: int, order: int) -> dict:
 
 def theta_series(m: int, t: int, order: int) -> FormalSeries:
     """theta(q^m, q^t) = sum_{n in Z} (-1)^n q^{mn + t n^2}, truncated exactly."""
-    if t < 1:
-        raise ValueError("theta base exponent t must be >= 1")
+    check_at_least(t, 1, "theta base exponent t")
     return FormalSeries.from_terms(_theta_terms(m, t, order), order)
 
 
@@ -176,8 +174,7 @@ def gk_series_andrews(k: int, order: int) -> FormalSeries:
     (q^k;q^k)_infinity in place by Euler's pentagonal recurrence.
     """
     check_k(k)
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    check_at_least(order, 0, "order")
     t_base = k * (k + 1) // 2
     n = order + 1
     invf: list = [1] + [0] * order  # inverse of (q^k;q^k)_m, maintained to full order
@@ -268,8 +265,7 @@ def Gk_series_oracle(k: int, order: int) -> FormalSeries:
     significant byte first.
     """
     check_k(k)
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    check_at_least(order, 0, "order")
     n = order
     width = _field_bits(n)
     f = [1 << n * width]
@@ -309,8 +305,7 @@ def chi_series(order: int) -> FormalSeries:
     S_n is needed only to order - n^2, and each division is the three-term
     recurrence y[x] = s[x] + y[x-n] - y[x-2n].
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    check_at_least(order, 0, "order")
     n = isqrt(order)
     s = [1] + [0] * (order - n * n)
     while n:
@@ -364,8 +359,7 @@ def euler_identity_check(order: int) -> bool:
     """Check both Euler identities for (z;q)_infinity as bivariate truncated series,
     with z-degree and q-order both capped at the given order; each z^n
     coefficient is a dense list of the coefficients of q^0..q^order."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    check_at_least(order, 0, "order")
     d = order
     # a[n] = z^n coefficient of (z;q)_inf = prod_{m=0..d} (1 - z q^m), to z^d
     a = [[1] + [0] * d] + [[0] * (d + 1) for _ in range(d)]

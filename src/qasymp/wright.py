@@ -61,7 +61,7 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath.libmp import to_fixed
 
-from .errors import InvalidRho, NonConvergent, TermCapExceeded, check_k
+from .errors import InvalidRho, NonConvergent, TermCapExceeded, check_at_least, check_k
 from .hires import LN2, EvalConfig, _sum_until, check_positive, evaluate, exact, frac_to_mpf
 
 
@@ -236,8 +236,7 @@ def wright_phi(params: WrightParams, z, cfg: EvalConfig):
 def wright_phi_moment(j: int, params: WrightParams, z, cfg: EvalConfig):
     """phi_j(rho, beta; z) = sum_m m^j z^m/(m! Gamma(beta - rho m)); phi_0 = phi.
     Past 2^22 guard bits, NonConvergent (evaluate); W_j_num gives the ray's real part."""
-    if j < 0:
-        raise ValueError("moment order must be >= 0")
+    check_at_least(j, 0, "moment order")
     guard = _phi_cancel_bits(params.rho, abs(frac_to_mpf(z))) + 64
     return evaluate(cfg, guard, _phi_series_core, params, z, j, cfg)
 
@@ -250,8 +249,7 @@ def b_k_coeff(k: int, j: int, cfg: EvalConfig):
     """b_k(j) = (k+1)/(k pi j!) (-1)^{j+1} sin(pi j(k-1)/k) Gamma(j(k+1)/k);
     exactly zero when k | j (the sine argument is an integer multiple of pi)."""
     check_k(k)
-    if j < 1:
-        raise ValueError("j must be >= 1")
+    check_at_least(j, 1, "j")
     if j % k == 0:
         return mp.mpf(0)
 
@@ -273,8 +271,7 @@ def re_phi_expansion(rho, z, L: int, cfg: EvalConfig):
     rho = exact(rho)
     if not (Fraction(1, 2) <= rho < 1):
         raise InvalidRho(f"expansion valid for 1/2 <= rho < 1, got {rho}")
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    check_at_least(L, 1, "L")
     check_positive(z, "z")
 
     def core():
@@ -488,8 +485,7 @@ def W_j_num(k: int, j: int, w, cfg: EvalConfig, route: str = "auto"):
     so a str, Fraction or int past the float range is accepted as an mpf is.
     """
     check_k(k)
-    if j < 0:
-        raise ValueError("j must be >= 0")
+    check_at_least(j, 0, "j")
     check_positive(w, "w")
     bits = _phi_cancel_bits(Fraction(k, k + 1), w)
     p = cfg.precision_bits

@@ -172,3 +172,12 @@ class TestOnePrecisionEntry:
                 found[path.name] = hits
         assert "with mp.workprec(cfg.precision_bits + guard):" in found.pop("hires.py")
         assert found == {"wright.py": ["with mp.workprec(53):"]}
+
+
+class TestOneRangeCheck:
+    def test_only_errors_states_a_lower_bound(self):
+        """Every "<name> must be >= <lo>" comes from errors.py (check_k and
+        check_at_least), so no module writes its own copy of the range check."""
+        found = sorted(path.name for path in Path(qasymp.__file__).parent.glob("*.py")
+                       if "must be >=" in path.read_text())
+        assert found == ["errors.py"]
