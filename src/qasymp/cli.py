@@ -21,7 +21,7 @@ import mpmath as mp
 
 from . import expansion, hires, qseries, wright
 from .errors import (DivisionByZeroBeta, NonConvergent, QAsympError,
-                     ReconstructionFailed, TermCapExceeded)
+                     ReconstructionFailed, TermCapExceeded, check_at_least)
 from .exactcore import rational_to_str
 from .hires import EvalConfig
 
@@ -149,6 +149,7 @@ def cmd_zagier(ns: argparse.Namespace) -> int:
 
 
 def cmd_beta(ns: argparse.Namespace) -> int:
+    check_at_least(ns.order, 1, "order")
     ec = EvalConfig(ns.precision_bits)
     rows = []
     for j in range(1, ns.order + 1):

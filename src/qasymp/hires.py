@@ -19,14 +19,16 @@ values of m every bin is within 2^{b+v+2} K^3 units of 2^-w, K = M + 1 + 1/(ks),
 (see _In_bins). Both run with 48 guard bits and measure their cancellation,
 log2(max(1, largest term)/|sum|); where it exceeds 16 bits, they run again with
 their guard and their stop rules raised by the cancellation plus 16, at most 3
-passes in all (_measured_evaluate). The seed products' factors below 2^-8 are one
-log series, sum_m x^m/(m(1 - r^m)), run in fixed point (_log_tail_fixed) at
-w = prec + L + 8 + bitlen(prec) bits, 2^L > 1/(1 - r), a relative error below
-2^-(prec+8) (see _poch_inf_exps_core). The direct route stays in mpf
-(_pm_terms), with k+1 inner theta sums shifted to every m (_gk_direct_core);
-theta_num's direct sum is one loop of running products for real and complex u.
-The open-ended sums (both m-sums, theta_num's loops, wright's mpc series and W_j
-expansion) stop in one loop, _sum_until, each with its own run length and test.
+passes in all (_measured_evaluate). The odd-n sum the insum route ends in is R_k
+itself, so gk_and_relative_error_num takes g_k and R_k from one pass. The seed
+products' factors below 2^-8 are one log series, sum_m x^m/(m(1 - r^m)), run in
+fixed point (_log_tail_fixed) at w = prec + L + 8 + bitlen(prec) bits,
+2^L > 1/(1 - r), a relative error below 2^-(prec+8) (see _poch_inf_exps_core).
+The direct route stays in mpf (_pm_terms), with k+1 inner theta sums shifted to
+every m (_gk_direct_core); theta_num's direct sum is one loop of running products
+for real and complex u. The open-ended sums (both m-sums, theta_num's loops,
+wright's mpc series and W_j expansion) stop in one loop, _sum_until, each with
+its own run length and test.
 
 Every numeric export returns through evaluate, which runs its core at
 precision_bits + guard bits and rounds once to precision_bits, under one lock
@@ -34,8 +36,9 @@ precision_bits + guard bits and rounds once to precision_bits, under one lock
 it raises NonConvergent first. evaluate and format_real are the package's only
 precision entries (the CLI's own arithmetic is a core at guard 0). theta_num's
 sums rerun by their cancellation as the small-s route does. The shared state is
-two caches: the newest 256 (q;q)_infinity values in an lru_cache keyed by
-(s, route, working precision), and the longest exact g_k series per k
+three caches: the newest 256 (q;q)_infinity values in an lru_cache keyed by
+(s, route, working precision), the newest 64 sets of I_n phases in one keyed by
+(k, working precision) (_phase_roots), and the longest exact g_k series per k
 (_GK_SERIES_CACHE, through keep_longest, which expansion's table cache uses too).
 """
 from __future__ import annotations
@@ -145,17 +148,18 @@ def evaluate(cfg: EvalConfig, guard: int, core, *args):
 
 
 def _measured_evaluate(cfg: EvalConfig, core, *args):
-    """evaluate for a core(*args, sub) that returns (value, bits of cancellation)
+    """evaluate for a core(*args, sub) that returns (*values, bits of cancellation)
     and runs its stop rules at sub.threshold: first with 48 guard bits and
     sub = cfg; while the measured cancellation exceeds 16 + extra, again with
     extra = cancellation + 16 more guard bits and sub = EvalConfig(p + extra). After
-    3 passes it raises NonConvergent. Shared by theta_num, I_n_num and gk_num."""
+    3 passes it raises NonConvergent. Returns the one value, or the tuple of values.
+    Shared by theta_num, I_n_num, gk_num and gk_and_relative_error_num."""
     extra = 0
     for _ in range(3):
-        val, lost = evaluate(cfg, 48 + extra, core, *args,
-                             EvalConfig(cfg.precision_bits + extra))
+        *val, lost = evaluate(cfg, 48 + extra, core, *args,
+                              EvalConfig(cfg.precision_bits + extra))
         if lost <= extra + 16:
-            return val
+            return val[0] if len(val) == 1 else tuple(val)
         extra = lost + 16
     raise NonConvergent(f"cancellation of {lost} bits persists after 3 passes")
 
@@ -560,7 +564,13 @@ def _In_bins(k, n, s, cfg):
 
 def _phase_roots(k):
     """The 2(k+1) phases e^{i pi j/(k+1)}, j = 0..2k+1, at the working precision."""
-    return [mp.expjpi(frac_to_mpf(Fraction(j, k + 1))) for j in range(2 * (k + 1))]
+    return _phase_roots_cached(k, mp.mp.prec)
+
+
+@lru_cache(maxsize=64)
+def _phase_roots_cached(k, prec):
+    """_phase_roots' value; prec, the working precision it runs at, is part of the key."""
+    return tuple(mp.expjpi(frac_to_mpf(Fraction(j, k + 1))) for j in range(2 * (k + 1)))
 
 
 def _In_from_bins(k, n, bins, roots):
@@ -617,8 +627,10 @@ def _gk_insum_core(k, s, cfg):
     (_In_bins) serves every odd n. The odd-n loop runs to n = sqrt((prec + 64)
     ln2/c) + 8 at most (at least 200), c = pi^2/(2k(k+1)s), where its weights have
     fallen below 2^-(prec+64); a cap past max_terms raises TermCapExceeded before
-    any term. Returns (value, bits of cancellation of the odd-n sum against
-    max(1, largest m-term)) for _measured_evaluate, which sizes cfg from it. The odd-n
+    any term. Returns (g_k, R_k, bits of cancellation of the odd-n sum against
+    max(1, largest m-term)) for _measured_evaluate, which sizes cfg from it: the
+    odd-n sum tot = sum_{n odd} 2 w_n Re I_n is R_k itself, and
+    g_k = tot (q^{k+1};q^{k+1})_inf/(q^k;q^k)_inf sqrt(2 pi/(k(k+1)s)) e^{-c}. The odd-n
     loop tests each weight before it adds the term, so _sum_until, which adds first,
     would sum one more term and could change bits."""
     s = frac_to_mpf(s)
@@ -641,7 +653,7 @@ def _gk_insum_core(k, s, cfg):
     else:
         raise NonConvergent(f"odd-n sum did not converge at k={k}, s={s}")
     ratio = _qq_inf_core((k + 1) * s) / _qq_inf_core(k * s)
-    return (tot * ratio * mp.sqrt(2 * mp.pi / (k * (k + 1) * s)) * mp.exp(-c),
+    return (tot * ratio * mp.sqrt(2 * mp.pi / (k * (k + 1) * s)) * mp.exp(-c), tot,
             _lost_bits(imax, tot))
 
 
@@ -694,6 +706,16 @@ def _gk_direct_core(k, s, cfg):
     return acc / _qq_inf_core(k * s)
 
 
+def _gk_route(k, s, route):
+    """gk_num's route for (k, s) after its checks of k and s: "auto" is "series"
+    for s >= 1 and "insum" below."""
+    check_k(k)
+    check_positive(s, "s")
+    if route == "auto":
+        return "series" if as_float(s) >= 1 else "insum"
+    return route
+
+
 def gk_num(k, s, cfg: EvalConfig, route: str = "auto"):
     """g_k(e^{-s}) to the configured precision.
 
@@ -710,16 +732,13 @@ def gk_num(k, s, cfg: EvalConfig, route: str = "auto"):
     2^-(p+C+32) of its largest term. Where C + 96 passes 2^22 bits (s below about
     2.5e-7 for k = 2) evaluate's ceiling raises NonConvergent before any conversion.
     """
-    check_k(k)
-    check_positive(s, "s")
-    sf = as_float(s)
-    if route == "auto":
-        route = "series" if sf >= 1 else "insum"
+    route = _gk_route(k, s, route)
     if route == "series":
         return evaluate(cfg, 64, _gk_series_core, k, s)
     if route == "insum":
-        return _measured_evaluate(cfg, _gk_insum_core, k, s)
+        return _measured_evaluate(cfg, _gk_insum_core, k, s)[0]
     if route == "direct":
+        sf = as_float(s)
         cancel = int(min(1.4427 * math.pi ** 2 / (6 * (k + 1) * sf)
                          + 1.4427 / (k * (k + 1) * sf), 2.0 ** 62))
         return evaluate(cfg, cancel + 96, _gk_direct_core, k, s,
@@ -736,7 +755,13 @@ def relative_error_num(k, s, cfg: EvalConfig, route: str = "auto"):
 
 def gk_and_relative_error_num(k, s, cfg: EvalConfig, route: str = "auto"):
     """(g_k(e^{-s}), R_k(e^{-s})) to the configured precision from one g_k
-    evaluation, made at precision_bits + 32 bits because R_k needs them."""
+    evaluation. On the insum route both come from its one pass, R_k being the odd-n
+    sum (_gk_insum_core), so g_k is gk_num's value. The series and direct routes
+    evaluate g_k at precision_bits + 32 bits and multiply it by R_k's factors, an
+    independent check of that identity."""
+    route = _gk_route(k, s, route)
+    if route == "insum":
+        return _measured_evaluate(cfg, _gk_insum_core, k, s)
     g = gk_num(k, s, EvalConfig(cfg.precision_bits + 32), route=route)
 
     def core():

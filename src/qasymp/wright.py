@@ -57,6 +57,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 from mpmath.libmp import to_fixed
@@ -305,7 +306,9 @@ def Wj_expansion(k: int, j: int, L: int, w, cfg: EvalConfig):
     """[j = 0] (k+1)/k + sum_{l=1}^{L-1} (-l(k+1)/k)^j b_k(l) w^{-l(k+1)/k}, the
     j-th moment expansion; remainder O(w^{-L(k+1)/k})."""
     check_k(k)
-    return evaluate(cfg, 32, lambda: sum(itertools.islice(_expansion_terms(k, j, w), max(L, 1))))
+    check_at_least(j, 0, "j")
+    check_at_least(L, 1, "L")
+    return evaluate(cfg, 32, lambda: sum(itertools.islice(_expansion_terms(k, j, w), L)))
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +356,16 @@ def _quad_cut(k: int, bell, m: float) -> float:
     return (m_s / m) ** (1.0 / (k + 1))
 
 
+@lru_cache(maxsize=64)
+def _ray_constants(k: int, prec: int):
+    """(1/Gamma(1 - kn/(k+1)) for n = 0..k, cos(pi kr/(k+1)) for r = 0..k) at the
+    working precision prec, which callers pass as mp.mp.prec: the chain starts and
+    the phases of _Wj_series_core, which depend on k alone."""
+    q = k + 1
+    return (tuple(reciprocal_gamma(Fraction(q - k * n, q)) for n in range(q)),
+            tuple(mp.cospi(frac_to_mpf(Fraction(k * r, q))) for r in range(q)))
+
+
 def _Wj_series_core(k: int, j: int, w, cfg: EvalConfig):
     """W_j(w) = 2 Re sum_n n^j a_n, a_n = z^n/(n! Gamma(1 - k n/q)), z = w e^{-i pi k/q},
     q = k+1, summed over Python integers in fixed point at scale 2^-W, W the ambient
@@ -365,7 +378,8 @@ def _Wj_series_core(k: int, j: int, w, cfg: EvalConfig):
     W_j = 2 sum_r cos(pi k r/q) sum_n n^j c_n, converted once at the end. A step is
     one C num // den, truncated toward zero; a chain starts, and restarts past a pole
     (1/Gamma exactly zero), from reciprocal_gamma(x) w^n/n! through to_fixed, never
-    because its value was truncated to 0.
+    because its value was truncated to 0. The starts at n <= k and the phases come
+    from _ray_constants.
 
     Each truncation loses less than one unit of 2^-W, and a chain takes at most n
     steps to reach c_n. An error made earlier is carried on by the exact ratios of
@@ -389,11 +403,12 @@ def _Wj_series_core(k: int, j: int, w, cfg: EvalConfig):
     wq_num, wq_den = (-1) ** k * wf.numerator ** q, wf.denominator ** q
     cut, log_cut, log_w = 1 << (wp - p - 32), math.log(math.pi) - (p + 32) * LN2, _log(wf)
     chains, sums, small = [None] * q, [0] * q, 0
+    starts, phases = _ray_constants(k, wp)
     for n in range(n_cap + 1):
         r = n % q
         c = chains[r]
         if c is None:
-            rg = reciprocal_gamma(Fraction(q - k * n, q))
+            rg = starts[n] if n < q else reciprocal_gamma(Fraction(q - k * n, q))
             if rg:
                 rg = -rg if k * (n // q) % 2 else rg
                 c = to_fixed((rg * frac_to_mpf(wf ** n / math.factorial(n)))._mpf_, wp)
@@ -411,8 +426,7 @@ def _Wj_series_core(k: int, j: int, w, cfg: EvalConfig):
         if n > 8 and below:
             small += 1
             if small >= 10:
-                tot = sum(mp.cospi(frac_to_mpf(Fraction(k * r, q))) * s
-                          for r, s in enumerate(sums))
+                tot = sum(phase * s for phase, s in zip(phases, sums))
                 return mp.ldexp(tot, 1 - wp)
         else:
             small = 0

@@ -79,14 +79,16 @@ class TestVerify:
 
 
     def test_one_gk_evaluation_per_s(self, capsys, monkeypatch):
+        # both s are on the insum route, whose one pass gives g_k and R_k: counting
+        # its core also catches a second cancellation pass
         calls = []
-        real = hires.gk_num
+        real = hires._gk_insum_core
 
         def counting(*args, **kwargs):
             calls.append(args[:2])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(hires, "gk_num", counting)
+        monkeypatch.setattr(hires, "_gk_insum_core", counting)
         code, out = run_cli(capsys, ["verify", "--k", "3", "--s", "0.2,0.1",
                                      "--N", "1", "--prec", "128"])
         assert code == 0

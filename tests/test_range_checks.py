@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qasymp import cli
 from qasymp.errors import InvalidK
 from qasymp.exactcore import bernoulli_number, bernoulli_polynomial
 from qasymp.expansion import (beta_coeff, beta_rational, expansion_eval, f2j_polynomial,
@@ -12,7 +13,8 @@ from qasymp.expansion import (beta_coeff, beta_rational, expansion_eval, f2j_pol
 from qasymp.hires import EvalConfig
 from qasymp.qseries import (Gk_series_oracle, chi_series, euler_identity_check,
                             gk_series_andrews, pochhammer_series, theta_series)
-from qasymp.wright import W_j_num, WrightParams, b_k_coeff, re_phi_expansion, wright_phi_moment
+from qasymp.wright import (W_j_num, Wj_expansion, WrightParams, b_k_coeff, re_phi_expansion,
+                           wright_phi_moment)
 
 CFG = EvalConfig(64)
 PHI = WrightParams(F(3, 4))
@@ -42,6 +44,8 @@ SITES = {
     "b_k_coeff": (lambda i: b_k_coeff(2, i, CFG), "j must be >= 1", 1),
     "re_phi_expansion": (lambda i: re_phi_expansion(F(3, 4), 10, i, CFG), "L must be >= 1", 1),
     "W_j_num": (lambda i: W_j_num(2, i, 1, CFG), "j must be >= 0", 0),
+    "Wj_expansion j": (lambda i: Wj_expansion(3, i, 2, 10, CFG), "j must be >= 0", 0),
+    "Wj_expansion L": (lambda i: Wj_expansion(3, 0, i, 10, CFG), "L must be >= 1", 1),
 }
 
 
@@ -71,6 +75,7 @@ K_FIRST = {
     "Gk_series_oracle": lambda: Gk_series_oracle(1, -1),
     "b_k_coeff": lambda: b_k_coeff(1, 0, CFG),
     "W_j_num": lambda: W_j_num(1, -1, 1, CFG),
+    "Wj_expansion": lambda: Wj_expansion(1, -1, 0, 10, CFG),
 }
 
 
@@ -78,3 +83,23 @@ K_FIRST = {
 def test_invalid_k_comes_before_the_index(name):
     with pytest.raises(InvalidK, match=r"^k must be >= 2, got 1$"):
         K_FIRST[name]()
+
+
+def test_wj_expansion_checks_j_before_l():
+    with pytest.raises(ValueError, match=r"^j must be >= 0$"):
+        Wj_expansion(3, -1, 0, 10, CFG)
+
+
+# beta's rows run j = 1..order, so an order below 1 is refused before any row, k
+# check included; the bound itself prints one row
+@pytest.mark.parametrize("argv", [["--order", "0"], ["--order", "0", "--k", "1"],
+                                  ["--order", "-5"]])
+def test_cli_beta_order_below_one_is_a_usage_error(capsys, argv):
+    assert cli.main(["beta", *argv]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: order must be >= 1\n")
+
+
+def test_cli_beta_order_one_prints_one_row(capsys):
+    assert cli.main(["beta", "--order", "1", "--prec", "64"]) == cli.EXIT_OK
+    assert len(capsys.readouterr().out.strip().split("\n")) == 2
