@@ -20,15 +20,27 @@ values of m every bin is within 2^{b+v+2} K^3 units of 2^-w, K = M + 1 + 1/(ks),
 log2(max(1, largest term)/|sum|); where it exceeds 16 bits, they run again with
 their guard and their stop rules raised by the cancellation plus 16, at most 3
 passes in all (_measured_evaluate). The odd-n sum the insum route ends in is R_k
-itself, so gk_and_relative_error_num takes g_k and R_k from one pass. The seed
-products' factors below 2^-8 are one log series, sum_m x^m/(m(1 - r^m)), run in
-fixed point (_log_tail_fixed) at w = prec + L + 8 + bitlen(prec) bits,
-2^L > 1/(1 - r), a relative error below 2^-(prec+8) (see _poch_inf_exps_core).
-The direct route stays in mpf (_pm_terms), with k+1 inner theta sums shifted to
+itself, so gk_and_relative_error_num takes g_k and R_k from one pass.
+
+A pass runs on fixed-point q-powers: every power of q at one (s, w) comes from
+one table of squares q^(2^i), built from one mp.exp (_q_squares, _q_pow), each
+power under 2 units of 2^-w off. A seed product (q^a; q^b)_inf turns its factors
+at negative exponents around, 1 - q^{-t} = -q^{-t}(1 - q^t), into its sign and a
+q-power; its head, the factors down to 2^-8, is one integer product renormalised
+after every factor, and the factors below are one log series,
+sum_m x^m/(m(1 - r^m)), also in fixed point (_log_tail_fixed). Together they
+give the product as h 2^-e e^{s sigma - lam} within 2^-(p+2) relative
+(_poch_parts); one mp.exp then ends a q-product (_poch_inf_exps_core, within
+2^(1-prec)) or a chain start u_r = q^{c_r} P_r/P_0, whose q-power and P_0's lam
+join its argument. With the odd-n weights from one exp and running products, a
+cold pass at the small-s benchmark points calls mp.exp 6, 11 and 12 times for
+k = 2, 3, 4 (18, 30 and 38 with mpf heads and one exp per constant). The direct
+route runs its m-loop in mpf (_pm_terms), with k+1 inner theta sums shifted to
 every m (_gk_direct_core); theta_num's direct sum is one loop of running products
-for real and complex u. The open-ended sums (both m-sums, theta_num's loops,
-wright's mpc series and W_j expansion) stop in one loop, _sum_until, each with
-its own run length and test.
+for real and complex u. The open-ended sums (the direct m-sum, theta_num's loops,
+wright's mpc series and W_j expansion) stop in one loop, _sum_until, each with its
+own run length and test; _In_bins, wright's _Wj_series_core and the insum
+route's odd-n loop stay outside it (see _sum_until).
 
 Every numeric export returns through evaluate, which runs its core at
 precision_bits + guard bits and rounds once to precision_bits, under one lock
@@ -36,8 +48,9 @@ precision_bits + guard bits and rounds once to precision_bits, under one lock
 it raises NonConvergent first. evaluate and format_real are the package's only
 precision entries (the CLI's own arithmetic is a core at guard 0). theta_num's
 sums rerun by their cancellation as the small-s route does. The shared state is
-three caches: the newest 256 (q;q)_infinity values in an lru_cache keyed by
-(s, route, working precision), the newest 64 sets of I_n phases in one keyed by
+four caches: the newest 256 (q;q)_infinity values in an lru_cache keyed by
+(s, route, working precision), the newest 16 q-power tables in one keyed by
+(s, w) (_q_squares), the newest 64 sets of I_n phases in one keyed by
 (k, working precision) (_phase_roots), and the longest exact g_k series per k
 (_GK_SERIES_CACHE, through keep_longest, which expansion's table cache uses too).
 """
@@ -51,7 +64,7 @@ from functools import lru_cache
 from typing import ClassVar
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_man_exp, to_fixed
 
 from . import qseries
 from .errors import NonConvergent, PoleAtNonpositive, TermCapExceeded, check_at_least, check_k
@@ -218,37 +231,130 @@ def _log_tail_fixed(x, r, w):
     return acc
 
 
-def _poch_inf_exps_core(start, step, s):
-    """prod_{j>=0} (1 - e^{-s(start + j*step)}) for integer start (possibly <= 0);
-    1 when every factor is within 2^-(prec+8) of 1, and 0 when a factor has
-    start + j*step = 0.
+@lru_cache(maxsize=16)
+def _q_squares(s, w):
+    """(W, [q^(2^i) for i < L]) for q = e^{-s}: the power table _q_pow reads, its
+    squares integers at scale 2^-W, W = w + 64 + L + 3, L = bitlen((w + 192)/s) + 1.
 
-    The head, every factor with x = e^{-s(start + j*step)} >= 2^-8 (those with
-    start + j*step <= 0 among them), runs in mpf through _qprod; a head of more
-    than max_terms factors raises TermCapExceeded. The tail, from
-    the first x < 2^-8 on, is exp(-sum_{m>=1} x^m / (m (1 - r^m))), r = e^{-s*step},
-    d = 1 - r: the series runs in fixed point (_log_tail_fixed) at
-    w = prec + L + 8 + bitlen(prec) bits, 2^L > 1/d, and one mp.exp ends it. Its
-    M <= w/8 terms are within (2M + 12) 2^-w / d of the log, a relative error
-    below 2^-(prec+8) in the tail. The factors past the last one above
-    2^-(prec+8) move the product by at most 2^-(prec+8)/d relative, which is all
-    that separates it from the product cut there.
+    One mp.exp gives q within 1.01 units; each truncated squaring at most doubles
+    an error and adds a unit, so square i is within 1.02 2^{i+1} - 1 units and a
+    product of squares within 1.02 2^{L+1}, under 0.26 units at 2^-(w+64). Past the
+    table, 2^{L-1} s > w + 192, so q^{2^L} < e^{-2(w+192)} is below a unit."""
+    sf = as_float(s)
+    L = int((w + 192) / sf).bit_length() + 1
+    W = w + 64 + L + 3
+    with mp.workprec(W + 8):
+        t = to_fixed(mp.exp(-s)._mpf_, W)
+    squares = [t]
+    for _ in range(L - 1):
+        t = t * t >> W
+        squares.append(t)
+    return W, squares
+
+
+def _q_pow(s, e, w, extra=0):
+    """q^e, q = e^{-s}, as an integer at scale 2^-(w + extra), under 2 units off, for an
+    integer e >= 0: the product of _q_squares(s, w) over the bits of e, so that every
+    power at one (s, w) comes from one exp; past extra = 64, from a table of its own."""
+    if extra > 64:
+        return _q_pow(s, e, w + extra)
+    W, squares = _q_squares(s, w)
+    acc = 1 << W
+    for sq in squares:
+        if not e:
+            break
+        if e & 1:
+            acc = acc * sq >> W
+        e >>= 1
+    return 0 if e else acc >> (W - w - extra)
+
+
+def _check_head(a, step, s):
+    """TermCapExceeded where the head of (q^a; q^step)_inf, its factors down to 2^-8,
+    passes max_terms, and where s underflows a float; so it runs before anything
+    is sized from that float."""
+    sf = as_float(s)
+    if not sf or (8 * LN2 / sf - a) / step > EvalConfig.max_terms:
+        raise TermCapExceeded(f"q-product head past max_terms factors at s={mp.nstr(s, 8)}")
+
+
+def _poch_parts(a, step, s, p):
+    """(h, e, sigma, lam) with prod_{j>=0} (1 - q^{a + j step}) = h 2^-e e^{s sigma - lam}
+    within 2^-(p+2) relative, q = e^{-s}, for integers a and step >= 1 with no factor at
+    exponent 0; lam is an mpf.
+
+    The J factors at negative exponents turn around, 1 - q^{-t} = -q^{-t}(1 - q^t):
+    their sign goes into h and sigma is the sum of their t. Those J factors and the
+    factors q^{a0 + j step}, a0 = a + J step, down to 2^-8 (the head, N factors) are one
+    fixed-point product at 2^-W, W = p + g, renormalised to W bits after each factor,
+    from _q_pow's powers and running products: in factor j of its run the power
+    q^t, t >= 1 + j, is off by under 2 + 3j units and the renormalised product by
+    under 2 units of the factor, and 1/(1 - q^t) <= 1 + 1/((1+j)s), so the head is
+    within (N(4 + 4/s) + 1.5 N^2) 2^-W relative. The tail, from the first factor
+    x = q^{a0 + n_h step} < 2^-8 on, is e^{-lam}, lam = sum_m x^m/(m(1 - r^m)),
+    r = q^step, d = 1 - r <= 1/D, D = 1 + 1/(s step): _log_tail_fixed at
+    Wt = W + bitlen(D) + bitlen(W) + 2 bits is within a unit of 2^-W, and x (under
+    2 + 3 n_h units off) and r (under 2) move lam by at most
+    (1.004 (3 n_h + 2) D + 0.008 D^2) 2^-W. g = bitlen of the sum of these bounds, plus 3,
+    puts the whole below 2^-(p+3). Where no factor lies between 2^-(p+8) and 2^-8
+    (r < 2^-p), the factors below 2^-(p+8) are left out, at most 2^-(p+7) relative.
+    A head past max_terms factors raises TermCapExceeded first (_check_head).
+    """
+    _check_head(a, step, s)
+    sf = as_float(s)
+    J = max(0, -(a // step))
+    a0 = a + J * step
+    sigma = J * (step - a0) + step * J * (J - 1) // 2
+    n_h = max(0, int((8 * LN2 / sf - a0) // step) + 1)
+    n = int(((p + 8) * LN2 / sf - a0) // step) + 1
+    tail = n > n_h
+    if not tail:
+        n_h = max(0, n)
+    N, D = J + n_h, 1 + 1 / (sf * step)
+    err = N * (4 + 4 / sf) + 1.5 * N * N
+    if tail:
+        err += 1.004 * (3 * n_h + 2) * D + 0.008 * D * D + 1
+    W = p + int(err + 1).bit_length() + 3
+    one = 1 << W
+    r = _q_pow(s, step, p, W - p)
+    h, e = 1 << (W - 1), W - 1
+    turned = _q_pow(s, step - a0, p, W - p) if J else 0
+    for x, count in ((turned, J), (_q_pow(s, a0, p, W - p), n_h)):
+        for _ in range(count):
+            h = h * (one - x) >> W
+            shift = W - h.bit_length()
+            h, e = h << shift, e + shift
+            x = x * r >> W
+    lam = mp.mpf(0)
+    if tail:
+        dbits = int(D).bit_length()
+        wt = W + dbits + W.bit_length() + 2
+        with mp.workprec(W + dbits + 8):
+            lam = mp.mpf((_log_tail_fixed(mp.make_mpf(from_man_exp(x, -W)),
+                                          mp.make_mpf(from_man_exp(r, -W)), wt), -wt)) \
+                / mp.mpf((one - r, -W))
+    return (-h if J % 2 else h), e, sigma, lam
+
+
+def _poch_inf_exps_core(start, step, s):
+    """prod_{j>=0} (1 - e^{-s(start + j*step)}) for integer start (possibly <= 0),
+    within 2^(1-prec) relative; 1 when every factor is within 2^-(prec+8) of 1, and 0
+    when a factor has start + j*step = 0.
+
+    _poch_parts gives it within 2^-(prec+2) as h 2^-e e^{s sigma - lam}; one mp.exp,
+    at prec + 8 bits plus the bits of s sigma, closes it, and one rounding to prec
+    ends it.
     """
     n = int(mp.floor(((mp.mp.prec + 8) * LN2 / s - start) / step)) + 1
     if n <= 0:
         return mp.mpf(1)
     if start <= 0 and start % step == 0:
         return mp.mpf(0)
-    if (8 * LN2 / s - start) / step > EvalConfig.max_terms:
-        raise TermCapExceeded(f"q-product head past max_terms factors at s={mp.nstr(s, 8)}")
-    head = min(n, max(0, int(math.floor((8 * LN2 / float(s) - start) / step)) + 1))
-    r = mp.exp(-s * step)
-    prod, x = _qprod(mp.exp(-s * start), r, head)
-    if head == n:
-        return prod
-    d = 1 - r
-    w = mp.mp.prec + int(1 / d).bit_length() + 8 + mp.mp.prec.bit_length()
-    return prod * mp.exp(-mp.mpf((_log_tail_fixed(x, r, w), -w)) / d)
+    p = mp.mp.prec
+    h, e, sigma, lam = _poch_parts(start, step, s, p)
+    with mp.workprec(p + 8 + sigma.bit_length() + max(0, mp.mag(s))):
+        v = mp.ldexp(mp.mpf(h), -e) * mp.exp(s * sigma - lam)
+    return +v
 
 
 def _qq_inf_core(s, use_transform=None):
@@ -465,7 +571,13 @@ def _sum_until(terms, run, small, cap_message, period=1):
     """Sum the (i, term, size) triples of terms into period bins by i mod period
     until run triples in a row satisfy small(i, size, largest, bins), largest the
     greatest size so far; returns (bins, largest). A skipped term comes as an exact
-    zero with a size. Past the last triple, TermCapExceeded(cap_message)."""
+    zero with a size. Past the last triple, TermCapExceeded(cap_message).
+
+    Three loops stay outside it. _In_bins and wright's _Wj_series_core run the
+    same kind of rule inline: the per-term generator expression and predicate call
+    took about 0.3 s of the 1.58 s that a profile of 180 small-s verify points spent
+    in _In_bins, and 18-26% of each W_j_num series op. _gk_insum_core's odd-n loop
+    tests each weight before it adds the term, so this loop would add one more."""
     bins, largest, row = [0] * period, 0, 0
     for i, term, size in terms:
         bins[i % period] += term
@@ -477,9 +589,9 @@ def _sum_until(terms, run, small, cap_message, period=1):
 
 
 def _m_rule(k, cfg):
-    """(run, small) of both m-sums: 2(k+1)+3 terms in a row below 2^-(prec+32) of the largest."""
-    scale = 1 << (cfg.precision_bits + 32)
-    return 2 * (k + 1) + 3, lambda _m, size, largest, _bins: size * scale < largest
+    """(run, bits) of both m-sums: they stop after run = 2(k+1)+3 terms in a row
+    below 2^-bits of the largest, bits = prec + 32."""
+    return 2 * (k + 1) + 3, cfg.precision_bits + 32
 
 
 def _In_head_bits(k, sf, starts):
@@ -492,20 +604,20 @@ def _In_head_bits(k, sf, starts):
 def _In_terms(k, s, starts, w, max_terms):
     """Yield (m, T_m) for m = 0 and every m < max_terms not divisible by k+1: T_m is
     2^w q^{c_m} P_m / ((q^k;q^k)_m P_0), truncated to an integer, from the chains
-    u_r of _In_bins."""
+    u_r of _In_bins; its q-powers come from _q_pow(s, ., w)."""
     one = 1 << w
-    qk = to_fixed(mp.exp(-s * k)._mpf_, w)
-    step = to_fixed(mp.exp(-s * k * (k + 1))._mpf_, w)
+    qk = _q_pow(s, k, w)
+    step = _q_pow(s, k * (k + 1), w)
     if k % 2:
         step = -step
-    zs = [to_fixed(mp.exp(-s * i * (k + 1))._mpf_, w) for i in range(k)]
+    zs = [_q_pow(s, i * (k + 1), w) for i in range(1, k)]
     u = [one] + [to_fixed(x._mpf_, w) for x in starts]
     ys = [one] * (k + 1)        # ys[m mod (k+1)] = q^{km}, read back k+1 steps later
     y = v = one                 # q^{km} and 1/(q^k;q^k)_m
     yield 0, one
     for m in range(1, max_terms):
         r = m % (k + 1)
-        x = ys[r]               # q^{k(m-k-1)}
+        x = ys[r]               # q^{k(m-k-1)} = q^{E_0}
         y = y * qk >> w
         ys[r] = y
         v = (v << w) // (one - y)
@@ -513,6 +625,7 @@ def _In_terms(k, s, starts, w, max_terms):
             continue
         t = u[r]
         if m > k:
+            t -= t * x >> w
             for z in zs:
                 e = x * z >> w  # q^{E_i}, which falls with i
                 if not e:
@@ -535,31 +648,49 @@ def _In_bins(k, n, s, cfg):
     within its residue class r = m mod (k+1) (zero for r = 0 < m), and the
     q-exponents telescope to a constant: for m > k,
     u_m = (-1)^k q^{k(k+1)} prod_{i<k} (1 - q^{E_i}) u_{m-k-1}, with
-    E_i = km - k(k+1) + i(k+1) > 0, so every multiplier lies in (0, 1) and
-    |u_m| <= 2^b, where 2^b >= max(1, |u_1|, .., |u_k|);
-    V_m = V_{m-1}/(1 - q^{km}) <= 1/(q^k;q^k)_inf <= e^{pi^2/(6ks)} <= 2^v. _In_terms
-    runs the k chains u_r and V over Python integers at scale 2^-w, from the mpf
-    starts u_r = q^{c_r} P_r/P_0 and powers of q. Each truncation
-    loses under a unit: the running q^{km} is off by at most 2m units, u_m by
-    2^b (m+1)^2, V_m relatively by 2^-w m(m + 2 + 2/(ks)), so after M values of m
+    E_i = km - k(k+1) + i(k+1) > 0, so every multiplier lies in (0, 1);
+    V_m = V_{m-1}/(1 - q^{km}) <= 1/(q^k;q^k)_inf <= e^{pi^2/(6ks)} <= 2^v.
+    The starts lie in (-1, 1), so 2^b = 1 bounds every |u_m|: P_r turns its r - 1
+    factors at negative exponents around (_poch_parts), which leaves
+    u_r = (-1)^{r-1} q^{r(r + (2k-1)(k+1))/(2(k+1))} prod_{0<i<r} (1 - q^{(k+1)i-r})
+    prod_j (1 - q^{r+(k+1)j})/(1 - q^{(k+1)(j+1)}), every factor in (0, 1). So w is
+    known before them, and they come from _poch_parts at p = w, within 2^-(w+1)
+    relative, and one exp each: every q-power of the loop comes from the one table
+    _q_squares(s, w). _In_terms runs the k chains u_r and V over Python integers at
+    scale 2^-w. Each power is under 2 units off, each start under 2 and each
+    truncation under one: the running q^{km} is off by under 3m units, u_m by
+    1.5 (m+1)^2, V_m relatively by 2^-w m(1.5m + 2.5 + 3/(ks)), so after M values of m
     each bin is within 2^{b+v+2} K^3 units, K = M + 1 + 1/(ks) (_In_head_bits).
     With K sized from the term count of a decay like q^{km} from 2^v down to
     2^-prec, w = prec + b + v + 2 + 3 bitlen(K) makes that under 2^-prec, where
     prec is the working precision, and T_0 = 1 <= the largest term. The stop rule
-    (_sum_until with _m_rule) runs on the integers; the bins convert to mpf once.
-    n only names the I_n in the max_terms error.
+    (_m_rule) runs on the integers in a plain loop (see _sum_until); the bins
+    convert to mpf once. n only names the I_n in the max_terms error. The longest
+    seed head, that of P_1, is checked against max_terms first (_check_head).
     """
-    seeds = _pm_seeds(k, s)
-    starts = [mp.exp(-s * frac_to_mpf(Fraction(k * r * (k * r + k + 1), 2 * (k + 1))))
-              * seeds[r] / seeds[0] for r in range(1, k + 1)]
+    _check_head(1, k + 1, s)
     sf = as_float(s)
-    head, lk = _In_head_bits(k, sf, starts)
+    head, lk = _In_head_bits(k, sf, ())     # b = 0: the starts lie in (-1, 1)
     m_est = (mp.mp.prec + head) * LN2 / (k * sf) + 3 * (k + 1)
     w = mp.mp.prec + head + 3 * int(m_est + 1 + lk).bit_length()
-    terms = ((m, t, abs(t)) for m, t in _In_terms(k, s, starts, w, cfg.max_terms))
-    bins, maxmag = _sum_until(terms, *_m_rule(k, cfg),
-                              f"I_n loop exceeded max_terms at k={k}, n={n}, s={s}", 2 * (k + 1))
-    return [mp.mpf((b, -w)) for b in bins], mp.mpf((maxmag, -w))
+    parts = [_poch_parts(k + 1 - k * r, k + 1, s, w) for r in range(k + 1)]
+    h0, e0, _, lam0 = parts[0]
+    with mp.workprec(w + 16):
+        starts = [mp.ldexp(mp.mpf(h) / h0, e0 - e) * mp.exp(
+            lam0 - lam - s * frac_to_mpf(Fraction(k * r * (k * r + k + 1), 2 * (k + 1)) - sigma))
+            for r, (h, e, sigma, lam) in enumerate(parts[1:], 1)]
+    period = 2 * (k + 1)
+    run, bits = _m_rule(k, cfg)
+    bins, largest, row = [0] * period, 0, 0
+    for m, t in _In_terms(k, s, starts, w, cfg.max_terms):
+        bins[m % period] += t
+        size = -t if t < 0 else t
+        if size > largest:
+            largest = size
+        row = row + 1 if size << bits < largest else 0
+        if row == run:
+            return [mp.mpf((b, -w)) for b in bins], mp.mpf((largest, -w))
+    raise TermCapExceeded(f"I_n loop exceeded max_terms at k={k}, n={n}, s={s}")
 
 
 def _phase_roots(k):
@@ -575,7 +706,9 @@ def _phase_roots_cached(k, prec):
 
 def _In_from_bins(k, n, bins, roots):
     """I_n = sum_r e^{i pi r(n+k+1)/(k+1)} bins[r] (see _In_bins), each phase read
-    from roots = _phase_roots(k) at j = r(n+k+1) mod 2(k+1)."""
+    from roots = _phase_roots(k) at j = r(n+k+1) mod 2(k+1). With the real parts of
+    those roots for roots it gives Re I_n, the same bits as the real part of I_n,
+    at a real multiplication per bin."""
     acc = 0
     for r, b in enumerate(bins):
         acc += roots[r * (n + k + 1) % (2 * (k + 1))] * b
@@ -630,9 +763,11 @@ def _gk_insum_core(k, s, cfg):
     any term. Returns (g_k, R_k, bits of cancellation of the odd-n sum against
     max(1, largest m-term)) for _measured_evaluate, which sizes cfg from it: the
     odd-n sum tot = sum_{n odd} 2 w_n Re I_n is R_k itself, and
-    g_k = tot (q^{k+1};q^{k+1})_inf/(q^k;q^k)_inf sqrt(2 pi/(k(k+1)s)) e^{-c}. The odd-n
-    loop tests each weight before it adds the term, so _sum_until, which adds first,
-    would sum one more term and could change bits."""
+    g_k = tot (q^{k+1};q^{k+1})_inf/(q^k;q^k)_inf sqrt(2 pi/(k(k+1)s)) e^{-c}. The
+    weights w_n = e^{-c(n^2-1)} come from the one e^{-c} by running products,
+    w_{n+2} = w_n e^{-4c(n+1)}. The odd-n loop tests each weight before it adds the
+    term, so _sum_until, which adds first, would sum one more term and could change
+    bits."""
     s = frac_to_mpf(s)
     c = mp.pi ** 2 / (2 * k * (k + 1) * s)
     cap = max(200, math.isqrt(int((mp.mp.prec + 64) * LN2 / c)) + 8)
@@ -642,18 +777,19 @@ def _gk_insum_core(k, s, cfg):
     thr = cfg.threshold
     bins, mm = _In_bins(k, 1, s, cfg)
     imax = max(mp.mpf(1), mm)
-    roots = _phase_roots(k)
-    n = 1
+    cos_roots = [z.real for z in _phase_roots(k)]
+    e_c = mp.exp(-c)
+    step8 = e_c ** 8
+    w_n, mult, n = mp.mpf(1), step8, 1      # w_n = e^{-c(n^2-1)}, mult = e^{-4c(n+1)}
     while n < cap:
-        w_n = mp.exp(-c * (n * n - 1))
         if n > 1 and w_n * imax * 16 < thr * max(abs(tot), mp.mpf(1)):
             break
-        tot += 2 * w_n * mp.re(_In_from_bins(k, n, bins, roots))
-        n += 2
+        tot += 2 * w_n * _In_from_bins(k, n, bins, cos_roots)
+        w_n, mult, n = w_n * mult, mult * step8, n + 2
     else:
         raise NonConvergent(f"odd-n sum did not converge at k={k}, s={s}")
     ratio = _qq_inf_core((k + 1) * s) / _qq_inf_core(k * s)
-    return (tot * ratio * mp.sqrt(2 * mp.pi / (k * (k + 1) * s)) * mp.exp(-c), tot,
+    return (tot * ratio * mp.sqrt(2 * mp.pi / (k * (k + 1) * s)) * e_c, tot,
             _lost_bits(imax, tot))
 
 
@@ -701,7 +837,9 @@ def _gk_direct_core(k, s, cfg):
             term = mp.exp(-s * e) * pm * thetas[r] / poch_m
             yield m, -term if (m + j) % 2 else term, abs(term)
 
-    (acc,), _ = _sum_until(terms(), *_m_rule(k, cfg),
+    run, bits = _m_rule(k, cfg)
+    scale = 1 << bits
+    (acc,), _ = _sum_until(terms(), run, lambda _m, size, largest, _bins: size * scale < largest,
                            f"direct g_k m-sum exceeded max_terms at k={k}, s={s}")
     return acc / _qq_inf_core(k * s)
 

@@ -6,6 +6,25 @@ import pytest
 from qasymp.errors import QAsympError
 from qasymp.hires import EvalConfig
 
+# The tests measured above 5 s each on a 2-core box (about 65 s together):
+# `pytest -m "not slow"` leaves them out; the full suite runs them.
+SLOW = {
+    "tests/test_wright_kernels.py::TestSeriesAgainstPhiLoop::test_same_bits",
+    "tests/test_measured_cancellation.py::test_log_tail_within_documented_bound",
+    "tests/test_wright_kernels.py::TestQuadratureContract::test_large_w[0-4-256]",
+    "tests/test_wright_kernels.py::TestQuadratureContract::test_large_w[0-2-256]",
+    "tests/test_wright_kernels.py::TestQuadratureContract::test_large_w[0-4-192]",
+    "tests/test_wright.py::TestExpansions::test_expansion_matches_direct_phi_with_stable_constant",
+    "tests/test_wright_kernels.py::TestQuadratureContract::test_agrees_with_series[0-4-192]",
+    "tests/test_insum_chains.py::test_chains_match_per_n_loop",
+}
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if item.nodeid in SLOW:
+            item.add_marker(pytest.mark.slow)
+
 
 @pytest.fixture(scope="session")
 def cfg128():
