@@ -477,8 +477,10 @@ def theta_num(u, s, cfg: EvalConfig, use_inversion=None):
     loop for real and complex u, with e^{-s n^2} and z^n + z^-n, z = e^{2 pi i u},
     as running products. Its stop rule, a term below 2^-(p+32) max(largest term,
     |sum|), needs at least the n with s n^2 >= (p+32) ln2 - ln(2n+1); where that n
-    passes max_terms it raises TermCapExceeded before any term. Both sums are sized
-    by their measured cancellation, log2(largest term/|sum|), as gk_num's insum
+    passes max_terms it raises TermCapExceeded before any term, and so does the
+    inversion where pi^2 (n + 2|Re u|)^2/(4s) stays below that bound for its odd
+    n up to max_terms (for real u, the term at n against the largest). Both sums
+    are sized by their measured cancellation, log2(largest term/|sum|), as gk_num's insum
     route is: past 16 bits (near a zero of theta) they rerun with guard and stop
     rule raised by it plus 16, at most 3 passes in all (_measured_evaluate).
     """
@@ -487,8 +489,11 @@ def theta_num(u, s, cfg: EvalConfig, use_inversion=None):
     if use_inversion is None:
         use_inversion = sf < 1
     n = cfg.max_terms
-    if not use_inversion and sf * n * n < (cfg.precision_bits + 32) * LN2 - math.log(2 * n + 1):
-        raise TermCapExceeded(f"theta_num's direct sum needs over max_terms terms at s={s}")
+    bits = (cfg.precision_bits + 32) * LN2 - math.log(2 * n + 1)
+    if (2 * math.sqrt(bits * sf) / math.pi - 2 * abs(float(mp.re(frac_to_mpf(u)))) > n
+            if use_inversion else sf * n * n < bits):
+        raise TermCapExceeded(f"theta_num's {'inversion' if use_inversion else 'direct sum'}"
+                              f" needs over max_terms terms at s={s}")
     return _measured_evaluate(cfg, _theta_sum, u, s, use_inversion)
 
 
@@ -520,9 +525,9 @@ def _theta_sum(u, s, use_inversion, cfg):
             zpi *= zi
             e, d = e * d, d * d2
 
-    (tot,), maxmag = _sum_until(
+    tot, maxmag = _sum_until(
         inverted() if use_inversion else direct(), 2 if use_inversion else 3,
-        lambda _n, size, largest, bins: size < thr * max(largest, abs(bins[0])),
+        lambda _n, size, largest, total: size < thr * max(largest, abs(total)),
         f"theta_num {'inversion' if use_inversion else 'direct'} exceeded max_terms")
     return part(mp.sqrt(mp.pi / sv) * tot if use_inversion else tot), _lost_bits(maxmag, tot)
 
@@ -567,24 +572,24 @@ def _pm_terms(k, s, seeds, max_terms):
         qneg *= qk_inv
 
 
-def _sum_until(terms, run, small, cap_message, period=1):
-    """Sum the (i, term, size) triples of terms into period bins by i mod period
-    until run triples in a row satisfy small(i, size, largest, bins), largest the
-    greatest size so far; returns (bins, largest). A skipped term comes as an exact
-    zero with a size. Past the last triple, TermCapExceeded(cap_message).
+def _sum_until(terms, run, small, cap_message):
+    """Sum the (i, term, size) triples of terms until run triples in a row satisfy
+    small(i, size, largest, total), largest the greatest size so far; returns
+    (total, largest). A skipped term comes as an exact zero with a size. Past the
+    last triple, TermCapExceeded(cap_message).
 
     Three loops stay outside it. _In_bins and wright's _Wj_series_core run the
     same kind of rule inline: the per-term generator expression and predicate call
     took about 0.3 s of the 1.58 s that a profile of 180 small-s verify points spent
     in _In_bins, and 18-26% of each W_j_num series op. _gk_insum_core's odd-n loop
     tests each weight before it adds the term, so this loop would add one more."""
-    bins, largest, row = [0] * period, 0, 0
+    total, largest, row = 0, 0, 0
     for i, term, size in terms:
-        bins[i % period] += term
+        total += term
         largest = size if size > largest else largest
-        row = row + 1 if small(i, size, largest, bins) else 0
+        row = row + 1 if small(i, size, largest, total) else 0
         if row == run:
-            return bins, largest
+            return total, largest
     raise TermCapExceeded(cap_message)
 
 
@@ -594,11 +599,10 @@ def _m_rule(k, cfg):
     return 2 * (k + 1) + 3, cfg.precision_bits + 32
 
 
-def _In_head_bits(k, sf, starts):
+def _In_head_bits(k, sf):
     """(h, L) of the truncation bound 2^h K^3 units, K = M + 1 + L (see _In_bins):
-    h = b + v + 2 with 2^b >= max(1, |u_r|) and 2^v >= e^{pi^2/(6ks)}, L = 1/(ks)."""
-    b = max([0] + [mp.mag(u) for u in starts if u])
-    return b + math.ceil(math.pi ** 2 / (6 * k * sf * LN2)) + 2, 1 / (k * sf)
+    h = v + 2 with 2^v >= e^{pi^2/(6ks)} (b = 0: the starts lie in (-1, 1)), L = 1/(ks)."""
+    return math.ceil(math.pi ** 2 / (6 * k * sf * LN2)) + 2, 1 / (k * sf)
 
 
 def _In_terms(k, s, starts, w, max_terms):
@@ -670,7 +674,7 @@ def _In_bins(k, n, s, cfg):
     """
     _check_head(1, k + 1, s)
     sf = as_float(s)
-    head, lk = _In_head_bits(k, sf, ())     # b = 0: the starts lie in (-1, 1)
+    head, lk = _In_head_bits(k, sf)
     m_est = (mp.mp.prec + head) * LN2 / (k * sf) + 3 * (k + 1)
     w = mp.mp.prec + head + 3 * int(m_est + 1 + lk).bit_length()
     parts = [_poch_parts(k + 1 - k * r, k + 1, s, w) for r in range(k + 1)]
@@ -737,9 +741,13 @@ _GK_SERIES_CACHE: dict = {}  # k -> the longest exact g_k series computed
 
 
 def _gk_series_core(k, s):
-    """sum_{e <= order} c_e e^{-s e}, order ~ prec/s; the cached series may be longer."""
+    """sum_{e <= order} c_e e^{-s e}, order = (prec + 16) ln2/s + 16 (TermCapExceeded
+    past max_terms, before any series); the cached series may be longer."""
     s = frac_to_mpf(s)
-    order = int((mp.mp.prec + 16) * LN2 / float(s)) + 16
+    sf, bits = float(s), (mp.mp.prec + 16) * LN2
+    if sf * (EvalConfig.max_terms - 15) <= bits:
+        raise TermCapExceeded(f"g_k series needs order past max_terms at s={s}")
+    order = int(bits / sf) + 16
     ser = keep_longest(_GK_SERIES_CACHE, k, order, lambda series: series.truncation_order,
                        lambda: qseries.gk_series_andrews(k, order))
     x = mp.exp(-s)
@@ -839,8 +847,8 @@ def _gk_direct_core(k, s, cfg):
 
     run, bits = _m_rule(k, cfg)
     scale = 1 << bits
-    (acc,), _ = _sum_until(terms(), run, lambda _m, size, largest, _bins: size * scale < largest,
-                           f"direct g_k m-sum exceeded max_terms at k={k}, s={s}")
+    acc, _ = _sum_until(terms(), run, lambda _m, size, largest, _total: size * scale < largest,
+                        f"direct g_k m-sum exceeded max_terms at k={k}, s={s}")
     return acc / _qq_inf_core(k * s)
 
 
@@ -868,7 +876,9 @@ def gk_num(k, s, cfg: EvalConfig, route: str = "auto"):
     The direct route expects C = log2(e) (pi^2/(6(k+1)s) + 1/(k(k+1)s)) bits of
     cancellation: it runs with C + 96 guard bits and stops its m-sum at
     2^-(p+C+32) of its largest term. Where C + 96 passes 2^22 bits (s below about
-    2.5e-7 for k = 2) evaluate's ceiling raises NonConvergent before any conversion.
+    2.5e-7 for k = 2, or an s that underflows a float, read as C = inf) evaluate's
+    ceiling raises NonConvergent before any conversion. The series route raises
+    TermCapExceeded before any series where its order passes max_terms.
     """
     route = _gk_route(k, s, route)
     if route == "series":
@@ -876,9 +886,9 @@ def gk_num(k, s, cfg: EvalConfig, route: str = "auto"):
     if route == "insum":
         return _measured_evaluate(cfg, _gk_insum_core, k, s)[0]
     if route == "direct":
-        sf = as_float(s)
+        sf = as_float(s)   # 0.0 for an s that underflows: C = inf
         cancel = int(min(1.4427 * math.pi ** 2 / (6 * (k + 1) * sf)
-                         + 1.4427 / (k * (k + 1) * sf), 2.0 ** 62))
+                         + 1.4427 / (k * (k + 1) * sf), 2.0 ** 62)) if sf else 1 << 62
         return evaluate(cfg, cancel + 96, _gk_direct_core, k, s,
                         EvalConfig(cfg.precision_bits + cancel))
     raise ValueError(f"unknown route {route!r}")

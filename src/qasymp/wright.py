@@ -15,8 +15,9 @@ Three evaluation routes for the real parts:
   would cost more. `W_j_num`'s series route sums on the ray, where
   z^{k+1} = (-1)^k w^{k+1} is an exact rational: each residue chain of the whole
   term is a fixed phase times a real chain with an exact integer step ratio, run
-  over Python integers in fixed point (_Wj_series_core); the mpc loop is its
-  independent reference;
+  over Python integers in fixed point (_Wj_series_core), no chain restarting: its
+  starts are never zero and its r = 0 chain is 0 from n = k+1 on; the mpc loop is
+  its independent reference;
 
 * an analytically reflected integral (used by `W_j_num` for large w): with
   S_j(W) = sum_{m>=1} m^j Gamma(rho m) W^m / m! one has, for z > 0,
@@ -175,19 +176,11 @@ def _phi_cancel_bits(rho: Fraction, zabs) -> int:
     return int(min(peak * 1.4427, 2.0 ** 62)) + 16
 
 
-def _phi_peak_index(rho: Fraction, zabs: float) -> float:
-    """Roughly the index of the largest term of the phi series."""
-    if rho > 0:
-        return (float(rho) * float(zabs)) ** (1.0 / (1 - float(rho)))
-    # |z|^n/(n! Gamma(beta + |rho| n)) peaks where n^{1+|rho|} |rho|^{|rho|} = |z|
-    r = float(rho)
-    return (float(zabs) / (-r) ** (-r)) ** (1.0 / (1 - r))
-
-
 def _phi_term_cap(rho: Fraction, zabs, cfg: EvalConfig) -> int:
-    """The most terms a phi series at |z| = zabs may take at the ambient precision."""
-    n_peak = _phi_peak_index(rho, zabs)
-    return min(cfg.max_terms, int(4 * n_peak + 0.8 * mp.mp.prec / (1 - float(rho)) + 256))
+    """The most terms a phi series at |z| = zabs may take at the ambient precision;
+    its terms peak near n = (|rho|^rho |z|)^{1/(1-rho)} = _phi_log_peak/(1-rho)."""
+    n_peak = _phi_log_peak(rho, zabs) / (1 - float(rho))
+    return int(min(cfg.max_terms, 4 * n_peak + 0.8 * mp.mp.prec / (1 - float(rho)) + 256))
 
 
 def _phi_series_core(params: WrightParams, z, j: int, cfg: EvalConfig):
@@ -221,8 +214,8 @@ def _phi_series_core(params: WrightParams, z, j: int, cfg: EvalConfig):
                     fac = mp.factorial(int(rho * n - beta))
                 yield n, zero, abs(power) * fac / mp.pi
 
-    (tot,), _ = _sum_until(terms(), 10, lambda n, size, _largest, _bins: n > 8 and size < cut,
-                           f"wright series needed more than {n_cap} terms")
+    tot, _ = _sum_until(terms(), 10, lambda n, size, _largest, _total: n > 8 and size < cut,
+                        f"wright series needed more than {n_cap} terms")
     return tot
 
 
@@ -376,10 +369,10 @@ def _Wj_series_core(k: int, j: int, w, cfg: EvalConfig):
     with the Gamma factor from _chain_factor. The terms with n = r mod q are the fixed
     phase e^{-i pi k r/q} times a real chain c_n, held as an integer C_n ~ 2^W c_n, so
     W_j = 2 sum_r cos(pi k r/q) sum_n n^j c_n, converted once at the end. A step is
-    one C num // den, truncated toward zero; a chain starts, and restarts past a pole
-    (1/Gamma exactly zero), from reciprocal_gamma(x) w^n/n! through to_fixed, never
-    because its value was truncated to 0. The starts at n <= k and the phases come
-    from _ray_constants.
+    one C num // den, truncated toward zero. The chains start once, at n <= k, from
+    1/Gamma(1 - kn/q) (from _ray_constants, with the phases) w^n/n! through to_fixed,
+    none at zero (1 - kn/q is an integer only at n = 0); only the r = 0 chain meets a
+    zero factor, at its first step (x = 1), and it is exactly 0 from n = q on.
 
     Each truncation loses less than one unit of 2^-W, and a chain takes at most n
     steps to reach c_n. An error made earlier is carried on by the exact ratios of
@@ -391,8 +384,7 @@ def _Wj_series_core(k: int, j: int, w, cfg: EvalConfig):
     thousand terms the auto route sums (N = 6000 at j = 3, say).
 
     The stop rule is _phi_series_core's: 10 terms in a row past n = 8 below 2^-(p+32),
-    that is below 2^{W-p-32} units; a pole term counts by the bound w^n N!/(n! pi) of
-    its neighbours (x = -N), taken from lgamma in floats, since it only feeds the stop.
+    that is below 2^{W-p-32} units; the zero terms of the r = 0 chain count as small.
     It stays inline, not in hires._sum_until: fed through a generator and a predicate,
     each series op of the benchmark's wright-sweep took 18-26% longer (about 1.1 to
     1.35 ms at 192 bits, 2-core Xeon, mpmath 1.3.0 on its Python backend), and those
@@ -401,29 +393,20 @@ def _Wj_series_core(k: int, j: int, w, cfg: EvalConfig):
     wf = exact(w)
     n_cap = _phi_term_cap(Fraction(k, q), wf, cfg)
     wq_num, wq_den = (-1) ** k * wf.numerator ** q, wf.denominator ** q
-    cut, log_cut, log_w = 1 << (wp - p - 32), math.log(math.pi) - (p + 32) * LN2, _log(wf)
-    chains, sums, small = [None] * q, [0] * q, 0
+    cut, sums, small = 1 << (wp - p - 32), [0] * q, 0
     starts, phases = _ray_constants(k, wp)
+    chains = [to_fixed((rg * frac_to_mpf(wf ** n / math.factorial(n)))._mpf_, wp)
+              for n, rg in enumerate(starts)]
     for n in range(n_cap + 1):
         r = n % q
         c = chains[r]
-        if c is None:
-            rg = starts[n] if n < q else reciprocal_gamma(Fraction(q - k * n, q))
-            if rg:
-                rg = -rg if k * (n // q) % 2 else rg
-                c = to_fixed((rg * frac_to_mpf(wf ** n / math.factorial(n)))._mpf_, wp)
-        else:
+        if n >= q:
             num, den = _chain_factor(q - k * (n - q), q, k)
             t, den = c * (num * wq_num), den * wq_den * math.perm(n, q)
-            c = t // den if t >= 0 else -(-t // den)
-        chains[r] = c
-        if c is None:
-            below = n * log_w - math.lgamma(n + 1) + math.lgamma(k * n // q) < log_cut
-        else:
-            t = n ** j * c
-            sums[r] += t
-            below = abs(t) < cut
-        if n > 8 and below:
+            c = chains[r] = t // den if t >= 0 else -(-t // den)
+        t = n ** j * c
+        sums[r] += t
+        if n > 8 and abs(t) < cut:
             small += 1
             if small >= 10:
                 tot = sum(phase * s for phase, s in zip(phases, sums))
@@ -471,16 +454,16 @@ def _Wj_quad_core(k: int, j: int, w, cfg: EvalConfig):
 def _Wj_asymptotic_core(k: int, j: int, w, cfg: EvalConfig):
     """The large-w expansion summed to its first term below 2^-(working bits)
     max(1, |sum|). Its terms shrink up to about l* = (k w/(k+1))^{k+1}, where the
-    smallest is about exp(-l*/k) = exp(-peak) (Dingle's rule; peak as in
+    smallest is about exp(-l*/k) = exp(-peak) (Dingle's rule; l* = k peak, peak from
     _phi_log_peak), and the exponentially small part it leaves out is of that
     size too. Far before l* the terms still fall geometrically, so the remainder
     is about the first omitted term, below the stop. Past l* first, TermCapExceeded."""
     eps = mp.ldexp(1, -mp.mp.prec)
-    n_cap = min((k * frac_to_mpf(w) / (k + 1)) ** (k + 1), cfg.max_terms)
+    n_cap = int(min(k * _phi_log_peak(Fraction(k, k + 1), w), cfg.max_terms))
     terms = ((ell, t, abs(t)) for ell, t in
-             enumerate(itertools.islice(_expansion_terms(k, j, w), int(n_cap) + 2)))
-    (tot,), _ = _sum_until(
-        terms, 1, lambda _l, size, _largest, bins: size and size < eps * max(1, abs(bins[0])),
+             enumerate(itertools.islice(_expansion_terms(k, j, w), n_cap + 2)))
+    tot, _ = _sum_until(
+        terms, 1, lambda _l, size, _largest, total: size and size < eps * max(1, abs(total)),
         f"W_j expansion stopped shrinking above 2^-{mp.mp.prec}")
     return tot
 

@@ -28,7 +28,7 @@ def test_chains_match_per_n_loop(k, hundredths, p, half):
 
 def _recorded_chains(monkeypatch, k, s, p):
     """Run I_n_num(k, 1, s) with _In_terms recorded: (its arguments, the working
-    precision it ran at, the (m, T_m) pairs _In_bins summed through _sum_until)."""
+    precision it ran at, the (m, T_m) pairs _In_bins summed)."""
     rec = {}
     real = hires._In_terms
 
@@ -60,7 +60,8 @@ def test_truncation_within_documented_bound(monkeypatch, k, s, p):
         fine = list(islice(hires._In_terms(k, sv, starts, w + 256, cap), len(terms)))
     got, ref = _bins(terms, period), _bins(fine, period)
     assert [m for m, _ in fine] == [m for m, _ in terms]
-    head, lk = hires._In_head_bits(k, hires.as_float(sv), starts)
+    assert all(abs(u) < 1 for u in starts)   # so b = 0 in the bound
+    head, lk = hires._In_head_bits(k, hires.as_float(sv))
     bound = math.ceil(2 ** head * (terms[-1][0] + 2 + lk) ** 3)
     # the bound holds at w and, for the finer run, at w + 256
     assert max(abs((g << 256) - r) for g, r in zip(got, ref)) <= bound * ((1 << 256) + 1)

@@ -1,8 +1,9 @@
 """Calls whose cost grows without bound refuse before any work: any guard past
 2^22 bits in evaluate (NonConvergent), as gk_num's direct route's C + 96 as s
-falls or W_j_num's series guard as w grows, and theta_num's direct sum once even
-a lower bound on its terms passes max_terms (TermCapExceeded). Both map to CLI
-exit 3."""
+falls (C = inf for an s that underflows a float) or W_j_num's series guard as w
+grows, and gk_num's series route once its order, or theta_num's direct sum or
+inversion once even a lower bound on its terms, passes max_terms
+(TermCapExceeded). Both map to CLI exit 3."""
 import os
 import subprocess
 import sys
@@ -21,7 +22,7 @@ SRC = str(Path(qasymp.__file__).resolve().parents[1])
 
 PROGRAM = """import sys
 from qasymp.cli import exit_code_for
-from qasymp.hires import EvalConfig, gk_num, theta_num
+from qasymp.hires import EvalConfig, gk_num, relative_error_num, theta_num
 from qasymp.wright import W_j_num
 try:
     {call}
@@ -35,9 +36,17 @@ except Exception as exc:
     ('gk_num(2, "1e-200", EvalConfig(64), route="direct")', "NonConvergent"),
     ('gk_num(2, "1e-7", EvalConfig(64), route="direct")', "NonConvergent"),
     ('gk_num(2, "1e-310", EvalConfig(64), route="direct")', "NonConvergent"),
+    ('gk_num(2, "1e-400", EvalConfig(64), route="direct")', "NonConvergent"),
+    ('relative_error_num(2, "1e-400", EvalConfig(64), route="direct")', "NonConvergent"),
+    ('gk_num(2, "1e-400", EvalConfig(64), route="series")', "TermCapExceeded"),
+    ('gk_num(2, "1e-7", EvalConfig(64), route="series")', "TermCapExceeded"),
+    ('relative_error_num(2, "1e-400", EvalConfig(64), route="series")', "TermCapExceeded"),
     ('theta_num("0.1", "1e-200", EvalConfig(64), use_inversion=False)', "TermCapExceeded"),
+    ('theta_num("0.1", "1e400", EvalConfig(64), use_inversion=True)', "TermCapExceeded"),
     ('W_j_num(2, 0, 10**4, EvalConfig(64), route="series")', "NonConvergent"),
-], ids=["direct-1e-200", "direct-1e-7", "direct-1e-310", "theta-1e-200", "wj-series-1e4"])
+], ids=["direct-1e-200", "direct-1e-7", "direct-1e-310", "direct-1e-400", "relerr-direct-1e-400",
+        "series-1e-400", "series-1e-7", "relerr-series-1e-400", "theta-1e-200",
+        "theta-inversion-1e400", "wj-series-1e4"])
 def test_refuses_promptly_with_exit_3(call, error):
     # a subprocess, so that a runaway sum is killed by the timeout
     proc = subprocess.run([sys.executable, "-c", PROGRAM.format(call=call)],

@@ -12,7 +12,7 @@ from qasymp.hires import EvalConfig, I_n_num, _sum_until, gk_num, theta_num
 from qasymp.wright import W_j_num, WrightParams, wright_phi
 
 
-def _below_one(_i, size, _largest, _bins):
+def _below_one(_i, size, _largest, _total):
     return size < 1
 
 
@@ -25,24 +25,18 @@ def _counted(triples, taken):
 def test_stops_after_exactly_run_small_terms_and_a_large_term_resets():
     sizes = [5, 0.5, 0.5, 7, 0.5, 0.5, 0.5, 0.5, 9]
     taken = []
-    bins, largest = _sum_until(_counted(((i, x, x) for i, x in enumerate(sizes)), taken),
-                               3, _below_one, "unused")
+    total, largest = _sum_until(_counted(((i, x, x) for i, x in enumerate(sizes)), taken),
+                                3, _below_one, "unused")
     assert len(taken) == 7     # the run of two before the 7 does not count
-    assert bins == [sum(sizes[:7])] and largest == 7
-
-
-def test_bins_by_index_mod_period():
-    triples = [(i, 10 + i, 2) for i in range(7)] + [(7, 0, 0), (8, 0, 0)]
-    bins, largest = _sum_until(iter(triples), 2, _below_one, "unused", period=3)
-    assert bins == [10 + 13 + 16 + 0, 11 + 14 + 0, 12 + 15] and largest == 2
+    assert total == sum(sizes[:7]) and largest == 7
 
 
 def test_skipped_term_counts_by_its_size_and_adds_nothing():
     # a skipped term is summed as an exact zero: its size still decides the run
     triples = [(0, 4, 4), (1, 0, 8), (2, 1, 0.5), (3, 0, 0.25), (4, 100, 100)]
     taken = []
-    bins, largest = _sum_until(_counted(iter(triples), taken), 2, _below_one, "unused")
-    assert len(taken) == 4 and bins == [5] and largest == 8
+    total, largest = _sum_until(_counted(iter(triples), taken), 2, _below_one, "unused")
+    assert len(taken) == 4 and total == 5 and largest == 8
 
 
 def test_raises_with_the_callers_message_when_the_terms_end():
