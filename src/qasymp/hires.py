@@ -114,12 +114,12 @@ def as_float(x) -> float:
 
 
 def exact(x) -> Fraction:
-    """The exact value of a real argument: an mpf bit for bit (ValueError if it is
-    infinite or nan), an int, str, Fraction or float exactly (a float at its binary
-    value); TypeError for any other type."""
+    """The exact value of a real argument: an mpf bit for bit, an int, str, Fraction
+    or float exactly (a float at its binary value); ValueError for an infinite or
+    nan mpf or float, TypeError for any other type."""
+    if isinstance(x, (mp.mpf, float)) and not mp.isfinite(x):
+        raise ValueError(f"{x} is not a finite real")
     if isinstance(x, mp.mpf):
-        if not mp.isfinite(x):
-            raise ValueError(f"{x} is not a finite real")
         sign, man, exp, _ = x._mpf_
         return Fraction(-man if sign else man) * Fraction(2) ** exp
     if isinstance(x, (int, str, Fraction, float)):
@@ -379,20 +379,16 @@ def _qq_inf_cached(s, use_transform, prec):
 
 
 def _cut_product(z, qv, cfg, cap_message):
-    """prod_j (1 - z q^j) over the factors with |z q^j| > threshold (1 - q), or up
-    to an exactly zero product; past max_terms factors, TermCapExceeded(cap_message)."""
-    prod = mp.mpf(1)
-    thr = cfg.threshold * (1 - qv)
-    count = 0
-    while abs(z) > thr:
-        prod = prod * (1 - z)
-        if prod == 0:
-            break
-        z = z * qv
-        count += 1
-        if count > cfg.max_terms:
-            raise TermCapExceeded(cap_message)
-    return prod
+    """prod_{j<n} (1 - z q^j) through _qprod, n = #{j : |z q^j| > threshold (1 - q)}
+    counted from logs before the first factor: TermCapExceeded(cap_message) when n
+    passes max_terms or is not finite. At z = 1 the first factor is exactly 0, and
+    so is the product, before any count."""
+    if z == 1:
+        return 1 - z
+    span = (mp.log(abs(z)) - mp.log(cfg.threshold * (1 - qv))) / -mp.log(qv)
+    if not span <= cfg.max_terms:
+        raise TermCapExceeded(cap_message)
+    return _qprod(z, qv, int(mp.ceil(span)) if span > 0 else 0, mp.mpf(1))[0]
 
 
 def _unit_q(q, what):
@@ -417,22 +413,31 @@ def qq_infinity_num(s, cfg: EvalConfig, use_transform=None):
     return evaluate(cfg, 48, lambda: _qq_inf_core(frac_to_mpf(s), use_transform))
 
 
-def _is_nonpositive_int(x, prec) -> bool:
-    if isinstance(x, (int, Fraction)):
-        return x.denominator == 1 and x <= 0
+def _is_pole(x, prec) -> bool:
+    """qsubz_num's pole rule at precision prec."""
     if isinstance(x, (mp.mpc, complex)):
-        if mp.im(x) != 0:
+        if x.imag != 0:
             return False
-        x = mp.re(x)
-    xv = mp.mpf(x)
-    if xv > -0.5:
+        x = x.real
+    if x == math.inf:
         return False
-    return abs(xv - mp.nint(xv)) <= mp.mpf(2) ** (-(prec // 2))
+    y = exact(x) + 1
+    n = round(y)
+    band = 0 if isinstance(x, (int, Fraction)) else Fraction(1, 1 << (prec // 2))
+    return n <= 0 and abs(y - n) <= band
 
 
 def qsubz_num(x, q, cfg: EvalConfig):
-    """(q;q)_x := (q;q)_infinity / (q^{x+1}; q)_infinity, valid for non-integer x."""
-    if _is_nonpositive_int(_shift(x, 1), cfg.precision_bits):
+    """(q;q)_x := (q;q)_infinity / (q^{x+1}; q)_infinity, valid for non-integer x.
+
+    Poles raise PoleAtNonpositive before any work, whatever the caller's mpmath
+    precision: x is read by exact (a complex x by its real part when its imaginary
+    part is 0), and x + 1 an integer <= 0 is a pole, as is, for an x that is not an
+    int or Fraction, anything within 2^-(p//2) of one, one band for every pole.
+    +inf is no pole; nan and -inf raise exact's ValueError. The denominator is
+    _cut_product's, its factors counted before the first; a product that rounds to
+    0 there raises PoleAtNonpositive too."""
+    if _is_pole(x, cfg.precision_bits):
         raise PoleAtNonpositive(f"(q;q)_x has a pole at x={x}")
 
     def core():
@@ -446,19 +451,13 @@ def qsubz_num(x, q, cfg: EvalConfig):
     return evaluate(cfg, 48, core)
 
 
-def _shift(x, d):
-    """x + d, exact for int and Fraction x, else at the ambient precision."""
-    if isinstance(x, (int, Fraction)):
-        return x + d
-    return frac_to_mpf(x) + d
-
-
 def gamma_q_num(x, q, cfg: EvalConfig):
     """Gamma_q(x) = (q;q)_{x-1} (1-q)^{1-x}, principal branch for the power."""
     guard = 48
 
     def core():
-        sub = qsubz_num(_shift(x, -1), q, EvalConfig(cfg.precision_bits + guard))
+        xm1 = x - 1 if isinstance(x, (int, Fraction)) else frac_to_mpf(x) - 1
+        sub = qsubz_num(xm1, q, EvalConfig(cfg.precision_bits + guard))
         return sub * mp.power(1 - frac_to_mpf(q), 1 - frac_to_mpf(x))
     return evaluate(cfg, guard, core)
 

@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+from qasymp import cli
 from qasymp.errors import QAsympError
 from qasymp.hires import EvalConfig
 
@@ -20,10 +24,28 @@ SLOW = {
 }
 
 
-def pytest_collection_modifyitems(items):
+@pytest.hookimpl(tryfirst=True)
+def pytest_collection_modifyitems(config, items):
+    # every SLOW id in a file collected whole must name one of its tests, checked
+    # before -k/-m deselect any; a node-id argument or --lf collects part of a file
+    ids = {item.nodeid for item in items}
+    files = {i.split("::")[0] for i in ids}
+    part = {Path(arg.split("::")[0]).name for arg in config.args if "::" in arg}
+    lost = sorted(i for i in SLOW - ids
+                  if i.split("::")[0] in files and Path(i.split("::")[0]).name not in part)
+    if lost and not config.getoption("lf", False):
+        raise pytest.UsageError(f"SLOW names tests that were not collected: {lost}")
     for item in items:
         if item.nodeid in SLOW:
             item.add_marker(pytest.mark.slow)
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process cli.main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="session")

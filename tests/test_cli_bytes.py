@@ -2,11 +2,9 @@
 wright (W_j and phi), plotdata and each subcommand's defaults, at k = 2 and 3,
 in both formats, with the exit-1 and exit-2 paths, hashed in one pass.
 `coeffs` at many orders is frozen apart, in test_coeffs_bytes.py."""
-import contextlib
 import hashlib
-import io
 
-from qasymp import cli
+from conftest import run_cli
 
 
 def _requests():
@@ -46,11 +44,9 @@ def test_cli_output_is_frozen():
     size = 0
     codes = set()
     for argv in _requests():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(argv)
+        code, out, _ = run_cli(argv)
         codes.add(code)
-        data = f"{argv}\n{code}\n{out.getvalue()}".encode()
+        data = f"{argv}\n{code}\n{out}".encode()
         size += len(data)
         digest.update(data)
     assert codes == {0, 1, 2}

@@ -1,11 +1,10 @@
 """Each subcommand accepts only the options it reads. The twelve options that
 every subcommand used to accept and then ignore are refused with exit 2."""
 import argparse
-import contextlib
-import io
 
 import pytest
 
+from conftest import run_cli
 from qasymp import cli
 
 OUTPUT = {"--format", "--out"}
@@ -39,13 +38,6 @@ REMOVED = [
 ]
 
 
-def _run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
-    return code, out.getvalue()
-
-
 def test_each_subcommand_declares_only_what_it_reads():
     parser = cli._build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -57,11 +49,11 @@ def test_each_subcommand_declares_only_what_it_reads():
 
 @pytest.mark.parametrize("name", sorted(VALID))
 def test_valid_request_runs(name):
-    code, out = _run(VALID[name])
+    code, out, _ = run_cli(VALID[name])
     assert code == 0 and out
 
 
 @pytest.mark.parametrize("name, flag, value", REMOVED)
 def test_removed_option_exits_2(name, flag, value):
-    code, out = _run(VALID[name] + [flag, value])
+    code, out, _ = run_cli(VALID[name] + [flag, value])
     assert (code, out) == (2, "")

@@ -1,10 +1,8 @@
 """Frozen bytes of `qasymp coeffs`: every table the CLI prints for G_k, g_k
 and chi at a range of orders, in both formats, hashed in one pass."""
-import contextlib
 import hashlib
-import io
 
-from qasymp import cli
+from conftest import run_cli
 
 # sha256 over f"{exit code}\n{stdout}" of every request, looped as below: 521,442
 # bytes, as printed before the oracle's reversed packing and the pentagonal
@@ -20,11 +18,9 @@ def test_coeffs_output_is_frozen():
         for k in range(2, 7):
             for n in (0, 1, 9, 60, 240, 400):
                 for fmt in ("csv", "json"):
-                    out = io.StringIO()
-                    with contextlib.redirect_stdout(out):
-                        code = cli.main(["coeffs", "--k", str(k), "--which", which,
-                                         "--order", str(n), "--format", fmt])
-                    data = f"{code}\n{out.getvalue()}".encode()
+                    code, out, _ = run_cli(["coeffs", "--k", str(k), "--which", which,
+                                            "--order", str(n), "--format", fmt])
+                    data = f"{code}\n{out}".encode()
                     size += len(data)
                     digest.update(data)
     assert (size, digest.hexdigest()) == (FROZEN_BYTES, FROZEN_SHA256)

@@ -2,16 +2,14 @@
 against its closed form at j < k, against the continued-fraction reconstruction
 and against the numeric sum over b_k(l) a_{n,r}; the values frozen from the
 numeric-sum implementation; and the CLI tables that no longer depend on --prec."""
-import contextlib
 import hashlib
-import io
 from fractions import Fraction as F
 from math import factorial
 
 import mpmath as mp
 import pytest
 
-from qasymp import cli
+from conftest import run_cli
 from qasymp.errors import InvalidK
 from qasymp.expansion import beta_coeff, beta_rational, hq_bivariate, rational_ratio
 from qasymp.hires import EvalConfig
@@ -81,28 +79,21 @@ def test_beta_grid_frozen():
     assert hashlib.sha256(repr(vals).encode()).hexdigest() == BETA_GRID_SHA256
 
 
-def run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
-    return code, out.getvalue()
-
-
 class TestCliTables:
     def test_zagier_m30_at_128_bits(self):
-        code, out = run(["zagier", "--m-max", "30", "--prec", "128"])
+        code, out, _ = run_cli(["zagier", "--m-max", "30", "--prec", "128"])
         assert code == 0
         lines = out.split("\n")
         assert "t1,8,-5532125340705109003/76692729615718809600,NEW" in lines
         assert sum(line.startswith(("t1,", "t2,")) for line in lines) == 62
 
     def test_zagier_rationals_do_not_depend_on_prec(self):
-        rows = [[line for line in run(["zagier", "--m-max", "12", "--prec", p])[1].split("\n")
+        rows = [[line for line in run_cli(["zagier", "--m-max", "12", "--prec", p])[1].split("\n")
                  if line.startswith(("t1,", "t2,"))] for p in ("64", "512")]
         assert rows[0] == rows[1] and len(rows[0]) == 26
 
     def test_beta_k4_order40_at_64_bits(self):
-        code, out = run(["beta", "--k", "4", "--order", "40", "--prec", "64"])
+        code, out, _ = run_cli(["beta", "--k", "4", "--order", "40", "--prec", "64"])
         assert code == 0
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert len(rows) == 40

@@ -1,16 +1,18 @@
 """Guard bits sized from the size of the terms: Wright's phi for rho <= 0 and the
 beta_k(j) sum; the class-wide term cap; the bounded and shared caches; and the
-one module that sets mpmath's working precision."""
+one module that sets mpmath's working precision; the SLOW list of the quick loop."""
 import random
 import re
 import sys
 import threading
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
 
+import conftest
 import qasymp
 from conftest import close_bits
 from qasymp import expansion, hires, qseries
@@ -181,3 +183,16 @@ class TestOneRangeCheck:
         found = sorted(path.name for path in Path(qasymp.__file__).parent.glob("*.py")
                        if "must be >=" in path.read_text())
         assert found == ["errors.py"]
+
+
+class TestSlowList:
+    def test_a_renamed_slow_test_fails_collection(self):
+        """A SLOW id in a collected file that names none of its tests stops the run
+        before -m "not slow" deselects anything, so a renamed slow test cannot join
+        the quick loop unseen; a node-id argument collects part of a file, unchecked."""
+        config = SimpleNamespace(args=["tests"], getoption=lambda name, default: default)
+        renamed = [SimpleNamespace(nodeid=i + "_renamed") for i in sorted(conftest.SLOW)]
+        with pytest.raises(pytest.UsageError, match="not collected"):
+            conftest.pytest_collection_modifyitems(config, renamed)
+        config.args = [renamed[0].nodeid]
+        conftest.pytest_collection_modifyitems(config, renamed[:1])

@@ -31,7 +31,7 @@ class TestEvalConfig:
         assert exact(mp.mpf(0)) == 0
 
     def test_exact_refuses_what_is_not_a_finite_real(self):
-        for x in (mp.inf, -mp.inf, mp.nan):
+        for x in (mp.inf, -mp.inf, mp.nan, math.inf, math.nan):
             with pytest.raises(ValueError):
                 exact(x)
         for x in (1j, mp.mpc(1), None):
@@ -51,6 +51,9 @@ class TestPochhammerNum:
 
     def test_vanishing_first_factor(self, cfg192):
         assert pochhammer_num(1, 0.5, cfg192) == 0
+        # exactly 0 before the factors are counted, so also where the count of
+        # 1 - q^j down to the threshold would pass max_terms
+        assert pochhammer_num(1, 1 - F(1, 10**6), EvalConfig(64)) == 0
 
     def test_q_out_of_range(self, cfg192):
         with pytest.raises(NonConvergent):
@@ -82,6 +85,20 @@ class TestQsubz:
             qsubz_num(-2, 0.5, cfg192)
         with pytest.raises(PoleAtNonpositive):
             qsubz_num(-1, 0.25, cfg192)
+
+    @pytest.mark.parametrize("x", ["-1.00000000000000000000001", "-2.0000000000000000000001"])
+    def test_one_band_for_every_pole(self, cfg128, x):
+        # 1e-23 and 1e-22 lie inside 2^-64 of the poles at -1 and -2 alike
+        with pytest.raises(PoleAtNonpositive):
+            qsubz_num(x, "0.5", cfg128)
+
+    def test_infinite_and_nan_x(self, cfg128):
+        # +inf is no pole, (q;q)_inf / (0; q)_inf; nan and -inf are not read
+        assert close_bits(qsubz_num(mp.inf, "0.5", cfg128),
+                          pochhammer_num("0.5", "0.5", cfg128), 120)
+        for x in (mp.nan, -mp.inf, float("nan"), float("-inf")):
+            with pytest.raises(ValueError):
+                qsubz_num(x, "0.5", cfg128)
 
 
 class TestGammaQ:

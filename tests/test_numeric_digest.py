@@ -207,3 +207,24 @@ def test_rounded_once_at_any_ambient_precision(name):
     # compare the values, not repr(key): an mpc key prints by mp.dps
     assert [(p, got if isinstance(got, str) else canon(got)) for p, got in low] \
         == [(p, got if isinstance(got, str) else canon(got)) for p, got in high]
+
+
+def near_pole_grid():
+    # x within 1e-18 of -2 and -1, poles of both qsubz_num and gamma_q_num, as
+    # strings, an mpf of 128 bits and a float (2^-52 off -1): at 64 bits each lies
+    # inside the 2^-(p//2) band, above it outside
+    with mp.workprec(128):
+        near = mp.mpf("-2.000000000000000001")
+    xs = ["-2.000000000000000001", "-1.999999999999999999", "-1.000000000000000001",
+          near, -1.0000000000000002]
+    args = [(f, x, q) for f in (qsubz_num, gamma_q_num) for x in xs for q in ("0.5", F(4, 5))]
+    return _grid(args, lambda c, f, x, q: f(x, q, c))
+
+
+def test_near_poles_at_any_ambient_precision():
+    # the pole rule reads x exactly, so the caller's mpmath precision moves no row
+    rows = near_pole_grid()
+    low, high = _results(rows, 53), _results(rows, 700)
+    assert len(low) == 60 and {type(g) for _, g in low} == {str, mp.mpf}
+    assert [(p, g if isinstance(g, str) else canon(g)) for p, g in low] \
+        == [(p, g if isinstance(g, str) else canon(g)) for p, g in high]

@@ -3,7 +3,8 @@
 falls (C = inf for an s that underflows a float) or W_j_num's series guard as w
 grows, and gk_num's series route once its order, or theta_num's direct sum or
 inversion once even a lower bound on its terms, passes max_terms
-(TermCapExceeded). Both map to CLI exit 3."""
+(TermCapExceeded), as does a q-product whose factors down to the threshold
+pass max_terms. Both map to CLI exit 3."""
 import os
 import subprocess
 import sys
@@ -21,8 +22,10 @@ from qasymp.hires import EvalConfig, gk_num, theta_num
 SRC = str(Path(qasymp.__file__).resolve().parents[1])
 
 PROGRAM = """import sys
+from fractions import Fraction
 from qasymp.cli import exit_code_for
-from qasymp.hires import EvalConfig, gk_num, relative_error_num, theta_num
+from qasymp.hires import (EvalConfig, gamma_q_num, gk_num, pochhammer_num, qsubz_num,
+                          relative_error_num, theta_num)
 from qasymp.wright import W_j_num
 try:
     {call}
@@ -48,9 +51,24 @@ except Exception as exc:
         "series-1e-400", "series-1e-7", "relerr-series-1e-400", "theta-1e-200",
         "theta-inversion-1e400", "wj-series-1e4"])
 def test_refuses_promptly_with_exit_3(call, error):
+    _assert_refusal(call, error, timeout=15)
+
+
+@pytest.mark.parametrize("call", [
+    'gamma_q_num(Fraction(1, 2), 1 - Fraction(1, 10**400), EvalConfig(64))',
+    'pochhammer_num("0.5", 1 - Fraction(1, 10**12), EvalConfig(64))',
+    'qsubz_num("0.3", 1 - Fraction(1, 10**12), EvalConfig(64))',
+], ids=["gamma-q-1e-400", "pochhammer-1e-12", "qsubz-1e-12"])
+def test_q_products_near_one_refuse_before_any_factor(call):
+    # the factors down to the threshold are counted first: about 1e14 at
+    # q = 1 - 1e-12, more still where q rounds to just below 1
+    _assert_refusal(call, "TermCapExceeded", timeout=5)
+
+
+def _assert_refusal(call, error, timeout):
     # a subprocess, so that a runaway sum is killed by the timeout
     proc = subprocess.run([sys.executable, "-c", PROGRAM.format(call=call)],
-                          capture_output=True, text=True, timeout=15,
+                          capture_output=True, text=True, timeout=timeout,
                           env={**os.environ, "PYTHONPATH": SRC})
     assert (proc.returncode, proc.stdout.strip()) == (3, error), proc.stderr
 
