@@ -90,9 +90,7 @@ class ZPolynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ZPolynomial):
             return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.coeffs == other.coeffs
 
     __hash__ = None  # type: ignore[assignment]
 

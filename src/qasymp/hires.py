@@ -34,13 +34,12 @@ give the product as h 2^-e e^{s sigma - lam} within 2^-(p+2) relative
 2^(1-prec)) or a chain start u_r = q^{c_r} P_r/P_0, whose q-power and P_0's lam
 join its argument. With the odd-n weights from one exp and running products, a
 cold pass at the small-s benchmark points calls mp.exp 6, 11 and 12 times for
-k = 2, 3, 4 (18, 30 and 38 with mpf heads and one exp per constant). The direct
-route runs its m-loop in mpf (_pm_terms), with k+1 inner theta sums shifted to
-every m (_gk_direct_core); theta_num's direct sum is one loop of running products
-for real and complex u. The open-ended sums (the direct m-sum, theta_num's loops,
-wright's mpc series and W_j expansion) stop in one loop, _sum_until, each with its
-own run length and test; _In_bins, wright's _Wj_series_core and the insum
-route's odd-n loop stay outside it (see _sum_until).
+k = 2, 3, 4. The direct route runs its m-loop in mpf (_pm_terms), with k+1 inner
+theta sums shifted to every m (_gk_direct_core); theta_num's direct sum is one
+loop of running products for real and complex u. The open-ended sums (the direct
+m-sum, theta_num's loops, wright's mpc series and W_j expansion) stop in one
+loop, _sum_until, each with its own run length and test; _In_bins, wright's
+_Wj_series_core and the insum route's odd-n loop stay outside it (see _sum_until).
 
 Every numeric export returns through evaluate, which runs its core at
 precision_bits + guard bits and rounds once to precision_bits, under one lock
@@ -64,7 +63,7 @@ from functools import lru_cache
 from typing import ClassVar
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import to_fixed
 
 from . import qseries
 from .errors import NonConvergent, PoleAtNonpositive, TermCapExceeded, check_at_least, check_k
@@ -207,20 +206,21 @@ def _qprod(x, r, n, prod=1):
     return prod, x
 
 
-def _log_tail_fixed(x, r, w):
+def _log_tail_fixed(xf, rf, w):
     """2^w sum_{m>=1} x^m / (m G_m) as an integer, G_m = sum_{i<m} r^i, for
-    0 <= x <= 1/2 and 0 < r < 1: with d = 1 - r, 2^-w times it, divided by d, is
+    0 <= x <= 1/2 and 0 < r < 1 given as the integers xf = floor(2^w x) and
+    rf = floor(2^w r): with d = 1 - r, 2^-w times it, divided by d, is
     -ln prod_{j>=0} (1 - x r^j) = sum_m x^m / (m (1 - r^m)).
 
-    The loop runs in fixed point over the integers floor(2^w x), floor(2^w r):
-    x^m is off by under 4 units, r^i by under 2i, so G_m (>= 1) by under m^2; each
-    term is one division truncated toward zero, and the loop stops at the first
-    x^m under a unit. After the M <= w/log2(1/x) terms it takes, the result is
-    within 2M + 12 units of the exact sum: 4 H_M <= M + 5 units from the errors
-    of x^m, x^2/(1-x)^2 <= 1 from those of G_m, M truncations and an omitted tail
-    under 4 units. So the log is within (2M + 12) 2^-w / d.
+    The loop runs in fixed point over xf and rf: x^m is off by under 4 units,
+    r^i by under 2i, so G_m (>= 1) by under m^2; each term is one division
+    truncated toward zero, and the loop stops at the first x^m under a unit.
+    After the M <= w/log2(1/x) terms it takes, the result is within 2M + 12
+    units of the exact sum: 4 H_M <= M + 5 units from the errors of x^m,
+    x^2/(1-x)^2 <= 1 from those of G_m, M truncations and an omitted tail under
+    4 units. So the log is within (2M + 12) 2^-w / d.
     """
-    one, xf, rf = 1 << w, to_fixed(x._mpf_, w), to_fixed(r._mpf_, w)
+    one = 1 << w
     acc, p, rp, g, m = 0, xf, one, one, 1
     while p:
         acc += (p << w) // (m * g)
@@ -330,8 +330,7 @@ def _poch_parts(a, step, s, p):
         dbits = int(D).bit_length()
         wt = W + dbits + W.bit_length() + 2
         with mp.workprec(W + dbits + 8):
-            lam = mp.mpf((_log_tail_fixed(mp.make_mpf(from_man_exp(x, -W)),
-                                          mp.make_mpf(from_man_exp(r, -W)), wt), -wt)) \
+            lam = mp.mpf((_log_tail_fixed(x << (wt - W), r << (wt - W), wt), -wt)) \
                 / mp.mpf((one - r, -W))
     return (-h if J % 2 else h), e, sigma, lam
 
@@ -413,18 +412,21 @@ def qq_infinity_num(s, cfg: EvalConfig, use_transform=None):
     return evaluate(cfg, 48, lambda: _qq_inf_core(frac_to_mpf(s), use_transform))
 
 
-def _is_pole(x, prec) -> bool:
-    """qsubz_num's pole rule at precision prec."""
-    if isinstance(x, (mp.mpc, complex)):
-        if x.imag != 0:
-            return False
-        x = x.real
-    if x == math.inf:
-        return False
-    y = exact(x) + 1
-    n = round(y)
-    band = 0 if isinstance(x, (int, Fraction)) else Fraction(1, 1 << (prec // 2))
-    return n <= 0 and abs(y - n) <= band
+def _pole_guard(x, q, prec) -> int:
+    """qsubz_num's guard bits at precision prec, after its pole rule: with d the
+    distance from x + 1 to the nearest integer <= 0, PoleAtNonpositive where d is
+    within the band, else 48 bits plus the cancellation of the factor nearest that
+    integer, log2(1/(d ln(1/q))) bits, less 16. With c = d (1 - q) <= d ln(1/q),
+    bitlen(c's denominator) - bitlen(c's numerator) + 1 bounds it from above."""
+    xr = x.real if isinstance(x, (mp.mpc, complex)) and x.imag == 0 else x
+    if isinstance(xr, (mp.mpc, complex)) or xr == math.inf:
+        return 48
+    y = exact(xr) + 1
+    d = abs(y - min(0, round(y)))
+    if d <= (0 if isinstance(xr, (int, Fraction)) else Fraction(1, 1 << (prec // 2))):
+        raise PoleAtNonpositive(f"(q;q)_x has a pole at x={x}")
+    c = d * (1 - exact(q)) if 0 < as_float(q) < 1 else 1
+    return 48 + max(0, c.denominator.bit_length() - c.numerator.bit_length() - 15)
 
 
 def qsubz_num(x, q, cfg: EvalConfig):
@@ -434,11 +436,11 @@ def qsubz_num(x, q, cfg: EvalConfig):
     precision: x is read by exact (a complex x by its real part when its imaginary
     part is 0), and x + 1 an integer <= 0 is a pole, as is, for an x that is not an
     int or Fraction, anything within 2^-(p//2) of one, one band for every pole.
-    +inf is no pole; nan and -inf raise exact's ValueError. The denominator is
+    +inf is no pole; nan and -inf raise exact's ValueError. Just outside a band the
+    guard bits grow with the cancellation there (_pole_guard). The denominator is
     _cut_product's, its factors counted before the first; a product that rounds to
     0 there raises PoleAtNonpositive too."""
-    if _is_pole(x, cfg.precision_bits):
-        raise PoleAtNonpositive(f"(q;q)_x has a pole at x={x}")
+    guard = _pole_guard(x, q, cfg.precision_bits)
 
     def core():
         qv = _unit_q(q, "(q;q)_x")
@@ -448,7 +450,7 @@ def qsubz_num(x, q, cfg: EvalConfig):
         if den == 0:
             raise PoleAtNonpositive(f"(q;q)_x hit a vanishing factor at x={x}")
         return num / den
-    return evaluate(cfg, 48, core)
+    return evaluate(cfg, guard, core)
 
 
 def gamma_q_num(x, q, cfg: EvalConfig):
@@ -696,22 +698,18 @@ def _In_bins(k, n, s, cfg):
     raise TermCapExceeded(f"I_n loop exceeded max_terms at k={k}, n={n}, s={s}")
 
 
-def _phase_roots(k):
-    """The 2(k+1) phases e^{i pi j/(k+1)}, j = 0..2k+1, at the working precision."""
-    return _phase_roots_cached(k, mp.mp.prec)
-
-
 @lru_cache(maxsize=64)
-def _phase_roots_cached(k, prec):
-    """_phase_roots' value; prec, the working precision it runs at, is part of the key."""
+def _phase_roots(k, prec):
+    """The 2(k+1) phases e^{i pi j/(k+1)}, j = 0..2k+1, at the working precision
+    prec, which callers pass as mp.mp.prec."""
     return tuple(mp.expjpi(frac_to_mpf(Fraction(j, k + 1))) for j in range(2 * (k + 1)))
 
 
 def _In_from_bins(k, n, bins, roots):
     """I_n = sum_r e^{i pi r(n+k+1)/(k+1)} bins[r] (see _In_bins), each phase read
-    from roots = _phase_roots(k) at j = r(n+k+1) mod 2(k+1). With the real parts of
-    those roots for roots it gives Re I_n, the same bits as the real part of I_n,
-    at a real multiplication per bin."""
+    from roots = _phase_roots(k, mp.mp.prec) at j = r(n+k+1) mod 2(k+1). With the
+    real parts of those roots for roots it gives Re I_n, the same bits as the real
+    part of I_n, at a real multiplication per bin."""
     acc = 0
     for r, b in enumerate(bins):
         acc += roots[r * (n + k + 1) % (2 * (k + 1))] * b
@@ -731,7 +729,7 @@ def I_n_num(k, n, s, cfg: EvalConfig):
 
     def core(sub):
         bins, mm = _In_bins(k, n, frac_to_mpf(s), sub)
-        val = _In_from_bins(k, n, bins, _phase_roots(k))
+        val = _In_from_bins(k, n, bins, _phase_roots(k, mp.mp.prec))
         return val, _lost_bits(max(mp.mpf(1), mm), val)
     return _measured_evaluate(cfg, core)
 
@@ -784,7 +782,7 @@ def _gk_insum_core(k, s, cfg):
     thr = cfg.threshold
     bins, mm = _In_bins(k, 1, s, cfg)
     imax = max(mp.mpf(1), mm)
-    cos_roots = [z.real for z in _phase_roots(k)]
+    cos_roots = [z.real for z in _phase_roots(k, mp.mp.prec)]
     e_c = mp.exp(-c)
     step8 = e_c ** 8
     w_n, mult, n = mp.mpf(1), step8, 1      # w_n = e^{-c(n^2-1)}, mult = e^{-4c(n+1)}
@@ -895,8 +893,7 @@ def gk_num(k, s, cfg: EvalConfig, route: str = "auto"):
 
 def relative_error_num(k, s, cfg: EvalConfig, route: str = "auto"):
     """R_k(q) = g_k(q) (q^k;q^k)_inf/(q^{k+1};q^{k+1})_inf
-
-    * sqrt(k(k+1)s/(2 pi)) e^{pi^2/(2k(k+1)s)}, with q = e^{-s}."""
+    sqrt(k(k+1)s/(2 pi)) e^{pi^2/(2k(k+1)s)}, with q = e^{-s}."""
     return gk_and_relative_error_num(k, s, cfg, route)[1]
 
 

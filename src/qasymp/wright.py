@@ -210,8 +210,7 @@ def _phi_series_core(params: WrightParams, z, j: int, cfg: EvalConfig):
                 # skipped pole term beta - rho n = -N: bound its neighbors' size
                 # through the reflection |1/Gamma(beta - rho n)| <= N!/pi; the bound
                 # only feeds the stop rule, so N! needs no more than 53 bits
-                with mp.workprec(53):
-                    fac = mp.factorial(int(rho * n - beta))
+                fac = mp.factorial(int(rho * n - beta), prec=53)
                 yield n, zero, abs(power) * fac / mp.pi
 
     tot, _ = _sum_until(terms(), 10, lambda n, size, _largest, _total: n > 8 and size < cut,

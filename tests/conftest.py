@@ -10,16 +10,24 @@ from qasymp import cli
 from qasymp.errors import QAsympError
 from qasymp.hires import EvalConfig
 
-# The tests measured above 5 s each on a 2-core box (about 65 s together):
+# The tests measured above 5 s each on a 2-core box, and the other five k = 4
+# series comparisons: about 1 s each warm, but whichever of them runs first pays
+# mpmath's one-off Gamma setup at about 5,000 bits, 6-7 s (about 85 s together):
 # `pytest -m "not slow"` leaves them out; the full suite runs them.
 SLOW = {
     "tests/test_wright_kernels.py::TestSeriesAgainstPhiLoop::test_same_bits",
     "tests/test_measured_cancellation.py::test_log_tail_within_documented_bound",
     "tests/test_wright_kernels.py::TestQuadratureContract::test_large_w[0-4-256]",
+    "tests/test_wright_kernels.py::TestQuadratureContract::test_large_w[0-2-192]",
     "tests/test_wright_kernels.py::TestQuadratureContract::test_large_w[0-2-256]",
     "tests/test_wright_kernels.py::TestQuadratureContract::test_large_w[0-4-192]",
     "tests/test_wright.py::TestExpansions::test_expansion_matches_direct_phi_with_stable_constant",
     "tests/test_wright_kernels.py::TestQuadratureContract::test_agrees_with_series[0-4-192]",
+    "tests/test_wright_kernels.py::TestQuadratureContract::test_agrees_with_series[0-4-256]",
+    "tests/test_wright_kernels.py::TestQuadratureContract::test_agrees_with_series[1-4-192]",
+    "tests/test_wright_kernels.py::TestQuadratureContract::test_agrees_with_series[1-4-256]",
+    "tests/test_wright_kernels.py::TestQuadratureContract::test_agrees_with_series[2-4-192]",
+    "tests/test_wright_kernels.py::TestQuadratureContract::test_agrees_with_series[2-4-256]",
     "tests/test_insum_chains.py::test_chains_match_per_n_loop",
 }
 

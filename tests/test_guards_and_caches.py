@@ -164,8 +164,7 @@ class TestBoundedCaches:
 class TestOnePrecisionEntry:
     def test_only_hires_sets_the_working_precision(self):
         """mpmath's working precision is process-wide, so only hires sets it, under
-        LOCK (evaluate and format_real). The one exception is wright's 53-bit bound
-        on a pole term, which runs inside a core that evaluate already holds."""
+        LOCK (evaluate and format_real); no other module holds a precision block."""
         entry = re.compile(r"\bLOCK\b|work(prec|dps)\(|extraprec\(|\.(prec|dps)\s*=[^=]")
         found = {}
         for path in sorted(Path(qasymp.__file__).parent.glob("*.py")):
@@ -173,7 +172,7 @@ class TestOnePrecisionEntry:
             if hits:
                 found[path.name] = hits
         assert "with mp.workprec(cfg.precision_bits + guard):" in found.pop("hires.py")
-        assert found == {"wright.py": ["with mp.workprec(53):"]}
+        assert found == {}
 
 
 class TestOneRangeCheck:

@@ -92,6 +92,15 @@ class TestQsubz:
         with pytest.raises(PoleAtNonpositive):
             qsubz_num(x, "0.5", cfg128)
 
+    @pytest.mark.parametrize("p", [128, 192])
+    @pytest.mark.parametrize("x", ["-2.0000000000000000001", "-1.9999999999999999999"])
+    @pytest.mark.parametrize("q", ["0.5", "0.8"])
+    def test_precision_contract_just_outside_the_band(self, x, q, p):
+        # 1e-19 off the pole at -2, outside the 2^-(p//2) band: the factor nearest
+        # it cancels about 64 bits, which the guard bits must cover
+        ref = qsubz_num(x, q, EvalConfig(2 * p))
+        assert close_bits(qsubz_num(x, q, EvalConfig(p)), ref, p - 8, scale=abs(ref))
+
     def test_infinite_and_nan_x(self, cfg128):
         # +inf is no pole, (q;q)_inf / (0; q)_inf; nan and -inf are not read
         assert close_bits(qsubz_num(mp.inf, "0.5", cfg128),

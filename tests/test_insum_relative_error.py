@@ -43,8 +43,8 @@ def test_doubling_the_precision_moves_the_pair_by_the_rounding(k, s):
 
 # each cache of s-free constants, with a call that fills it
 CACHES = {
-    "_phase_roots_cached": (hires._phase_roots_cached,
-                            lambda: gk_and_relative_error_num(3, "0.1", EvalConfig(P))),
+    "_phase_roots": (hires._phase_roots,
+                     lambda: gk_and_relative_error_num(3, "0.1", EvalConfig(P))),
     "_ray_constants": (wright._ray_constants, lambda: W_j_num(3, 0, "3.5", EvalConfig(P))),
 }
 
@@ -64,10 +64,10 @@ def test_constant_caches_are_bounded_and_change_no_bit(name):
 
 def test_constant_caches_are_keyed_by_the_working_precision():
     # one k at two working precisions is two entries
-    hires._phase_roots_cached.cache_clear()
+    hires._phase_roots.cache_clear()
     with mp.workprec(100):
-        low = hires._phase_roots(3)
+        low = hires._phase_roots(3, mp.mp.prec)
     with mp.workprec(200):
-        high = hires._phase_roots(3)
-    assert hires._phase_roots_cached.cache_info().currsize == 2
+        high = hires._phase_roots(3, mp.mp.prec)
+    assert hires._phase_roots.cache_info().currsize == 2
     assert low[1] != high[1]

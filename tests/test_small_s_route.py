@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import to_fixed
 
 from conftest import close_bits, digest
 from qasymp import hires
@@ -118,6 +119,11 @@ class TestFixedPointProduct:
                 prod, xj = prod * (1 - xj), xj * r
             return -mp.log(prod) * (1 - r) * mp.mpf(2) ** w
 
+    @staticmethod
+    def truncated_tail(x, r, w):
+        """_log_tail_fixed at floor(2^w x), floor(2^w r), the integers it takes."""
+        return hires._log_tail_fixed(to_fixed(x._mpf_, w), to_fixed(r._mpf_, w), w)
+
     @pytest.mark.parametrize("xs,rs,n,w", [
         ("0.49", "0.97", 5000, 300),
         ("0.5", "0.999", 20000, 330),
@@ -132,7 +138,7 @@ class TestFixedPointProduct:
         with mp.workprec(w + 32):
             r = mp.mpf(rs)
             x = mp.mpf(xs) * r ** n
-        got = hires._log_tail_fixed(x, r, w)
+        got = self.truncated_tail(x, r, w)
         ref = self.exact_units(x, r, w)
         terms = int(w / -math.log2(float(x))) if x else 0
         with mp.workprec(w + 64):
